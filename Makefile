@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet ranvet lint test race short chaos chaos-supervise soak scale-smoke bench fuzz check
+.PHONY: all build vet ranvet lint test race short chaos chaos-supervise soak scale-smoke bench ranbench-selftest fuzz check
 
 all: check
 
@@ -78,10 +78,17 @@ scale-smoke:
 # and traced at 1/2/4 cores, plus the burst axis at batch 16/32/64) and
 # the BFP codec microbenchmarks, recording them to BENCH_6.json; then
 # the metro-scale axis (streams × shards × chain depth, plus the
-# hash-vs-worksteal skew comparison) to BENCH_8.json. The <5%
+# hash-vs-worksteal skew comparison) to BENCH_8.json. The
 # tracing-overhead gate itself runs as a test (internal/benchreg).
 bench:
 	$(GO) run ./cmd/benchreg -o BENCH_6.json -scale-o BENCH_8.json
+
+# ranbench (bench/) is a module of its own, so build, vet and test above do
+# not see it: this compiles it against the current internal/ API and runs
+# its replay-hygiene self-test (< 5 s, no timing assertions).
+ranbench-selftest:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
 
 # FUZZTIME bounds each fuzz target; the wire-format dissectors must never
 # panic however mangled the frame.

@@ -36,7 +36,8 @@ type snapshot struct {
 	GOMAXPROCS int               `json:"gomaxprocs"`
 	Results    []benchreg.Result `json:"results"`
 	// TracingOverhead is (traced − untraced) / untraced ns/op at each core
-	// count; the CI regression gate holds the 4-core value under 5%.
+	// count — informational on a shared host; the regression gate is
+	// TestTracingOverhead (internal/benchreg).
 	TracingOverhead map[string]float64 `json:"tracing_overhead"`
 	// Codec holds the per-width BFP compress/decompress and exponent-scan
 	// microbenchmarks over a full 273-PRB carrier.

@@ -218,29 +218,6 @@ func BurstBench(cores, batch int) func(b *testing.B) {
 	}
 }
 
-// TimeFrames runs the workload once over n frames and returns the
-// wall-clock time of the drive loop (ingress through final drain).
-func TimeFrames(cores int, traced bool, n int) (time.Duration, error) {
-	eng, err := NewEngine(cores, traced)
-	if err != nil {
-		return 0, err
-	}
-	frames, err := Frames()
-	if err != nil {
-		return 0, err
-	}
-	if err := eng.Start(); err != nil {
-		return 0, err
-	}
-	start := time.Now()
-	Drive(eng, frames, n)
-	elapsed := time.Since(start)
-	if st := eng.Snapshot(); st.RxFrames != uint64(n) {
-		return 0, fmt.Errorf("benchreg: RxFrames = %d, want %d", st.RxFrames, n)
-	}
-	return elapsed, nil
-}
-
 // Result is one benchmark measurement, in the shape BENCH_*.json records.
 type Result struct {
 	Name   string `json:"name"`

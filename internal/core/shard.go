@@ -1116,9 +1116,9 @@ func (sh *shard) flushSpans() {
 }
 
 // emitAll hands processed packets to the egress. Deterministically they
-// are scheduled at their virtual finish time; under parallel workers the
-// output function is invoked directly (and must be safe for concurrent
-// use).
+// are scheduled at their virtual finish time as closure-free frame events
+// with the engine as sink; under parallel workers the output function is
+// invoked directly (and must be safe for concurrent use).
 func (sh *shard) emitAll(pkts []*fh.Packet, at sim.Time) {
 	e := sh.eng
 	if len(pkts) == 0 {
@@ -1126,19 +1126,24 @@ func (sh *shard) emitAll(pkts []*fh.Packet, at sim.Time) {
 	}
 	sh.stats.txFrames.Add(uint64(len(pkts)))
 	for _, p := range pkts {
-		frame := p.Frame
 		if e.parallel {
-			if e.out != nil {
-				e.out(frame)
-			}
+			(*egress)(e).DeliverFrame(p.Frame)
 			continue
 		}
-		//ranvet:allow alloc deterministic mode only: the parallel hot path continues before this branch
-		e.sched.At(at, func() {
-			if e.out != nil {
-				e.out(frame)
-			}
-		})
+		e.sched.AtFrame(at, (*egress)(e), p.Frame)
+	}
+}
+
+// egress is the Engine seen as a sim.FrameSink. The output function is
+// read when the frame is delivered, not when it is scheduled, so a
+// SetOutput between the two takes effect. A named pointer type rather
+// than a method on Engine keeps DeliverFrame off the public engine API.
+type egress Engine
+
+// DeliverFrame hands one emitted frame to the attached output function.
+func (e *egress) DeliverFrame(frame []byte) {
+	if e.out != nil {
+		e.out(frame)
 	}
 }
 

@@ -77,11 +77,18 @@ func (d *DU) prepareSlot(absSlot int) {
 
 // emitAt sends a frame at the given virtual time (clamped to now).
 func (d *DU) emitAt(at sim.Time, frame []byte) {
-	d.sched.At(at, func() {
-		if d.out != nil {
-			d.out(frame)
-		}
-	})
+	d.sched.AtFrame(at, (*egress)(d), frame)
+}
+
+// egress is the DU seen as a sim.FrameSink: the output function is read
+// when the frame leaves, not when it is scheduled.
+type egress DU
+
+// DeliverFrame hands one due frame to the attached output function.
+func (d *egress) DeliverFrame(frame []byte) {
+	if d.out != nil {
+		d.out(frame)
+	}
 }
 
 // emitDL generates the slot's downlink C-plane and U-plane. It returns

@@ -221,14 +221,20 @@ func (s *Switch) deliver(out *Port, frame []byte) {
 		ser = time.Duration(float64(len(frame)*8) / s.lineRateGbps) // ns per bit at G bits/s
 	}
 	out.busyUntil = start.Add(ser)
-	at := out.busyUntil.Add(s.latency)
-	s.sched.At(at, func() {
-		out.stats.rxFrames.Add(1)
-		out.stats.rxBytes.Add(uint64(len(frame)))
-		if out.handler != nil {
-			out.handler(frame)
-		}
-	})
+	s.sched.AtFrame(out.busyUntil.Add(s.latency), (*portRx)(out), frame)
+}
+
+// portRx is an output Port seen as a sim.FrameSink: the arrival of a
+// switched frame at the attached device.
+type portRx Port
+
+// DeliverFrame counts the frame as received and hands it to the device.
+func (p *portRx) DeliverFrame(frame []byte) {
+	p.stats.rxFrames.Add(1)
+	p.stats.rxBytes.Add(uint64(len(frame)))
+	if p.handler != nil {
+		p.handler(frame)
+	}
 }
 
 // String identifies the switch.

@@ -11,7 +11,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -35,48 +34,45 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 // Sub returns the duration from u to t.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
+// FrameSink receives the frames of AtFrame events: "deliver this frame at
+// virtual time t" without a closure. Whoever defers one frame per event —
+// a datapath egress, a link — implements it once and schedules the frames
+// themselves, instead of allocating a func that captures each one.
+type FrameSink interface {
+	DeliverFrame(frame []byte)
+}
+
+// event is one queue entry, stored by value in the heap. Exactly one of fn
+// (At/After) and sink (AtFrame) is set.
 type event struct {
-	at  Time
-	seq uint64 // tie-breaker: FIFO among equal timestamps
-	fn  func()
+	at    Time
+	seq   uint64 // tie-breaker: FIFO among equal timestamps
+	fn    func()
+	sink  FrameSink
+	frame []byte
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+// before is the queue's total order: by timestamp, then by insertion.
+func (a *event) before(b *event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
 // Scheduler is a single-threaded discrete-event scheduler. It is not safe
 // for concurrent use; all actors run callbacks on the scheduler goroutine,
 // which mirrors the run-to-completion model of a DPDK poll loop.
+//
+// The queue is a binary min-heap of event values ordered by (at, seq):
+// scheduling and stepping move events inside one slice and allocate
+// nothing once the slice has grown to the high-water mark.
 type Scheduler struct {
 	now    Time
-	events eventHeap
+	events []event
 	seq    uint64
 	nRun   uint64
 }
 
 // NewScheduler returns a scheduler positioned at time zero.
-func NewScheduler() *Scheduler {
-	s := &Scheduler{}
-	heap.Init(&s.events)
-	return s
-}
+func NewScheduler() *Scheduler { return &Scheduler{} }
 
 // Now returns the current virtual time.
 func (s *Scheduler) Now() Time { return s.now }
@@ -88,28 +84,89 @@ func (s *Scheduler) Processed() uint64 { return s.nRun }
 // At schedules fn to run at virtual time t. Scheduling in the past (or the
 // present) runs the event at the current time after already-queued events
 // with earlier sequence numbers.
-func (s *Scheduler) At(t Time, fn func()) {
-	if t < s.now {
-		t = s.now
-	}
-	s.seq++
-	//ranvet:allow alloc deterministic-mode scheduler: the parallel hot path never enqueues events
-	heap.Push(&s.events, &event{at: t, seq: s.seq, fn: fn})
+func (s *Scheduler) At(t Time, fn func()) { s.push(event{at: t, fn: fn}) }
+
+// AtFrame schedules sink.DeliverFrame(frame) at virtual time t. It orders
+// with At events in the one queue — same clamping, same FIFO tie-break —
+// but needs no closure: the sink and the frame ride in the event. The
+// scheduler holds frame until the event fires.
+func (s *Scheduler) AtFrame(t Time, sink FrameSink, frame []byte) {
+	s.push(event{at: t, sink: sink, frame: frame})
 }
 
 // After schedules fn to run d after the current virtual time.
 func (s *Scheduler) After(d Duration, fn func()) { s.At(s.now.Add(d), fn) }
 
+// push clamps e to the present, stamps its sequence number and sifts it up
+// from the end of the heap, moving parents down into the hole.
+func (s *Scheduler) push(e event) {
+	if e.at < s.now {
+		e.at = s.now
+	}
+	s.seq++
+	e.seq = s.seq
+	h := append(s.events, event{})
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = e
+	s.events = h
+}
+
+// pop removes and returns the earliest event; the queue must not be empty.
+// The vacated tail slot is zeroed so a delivered frame is not pinned by the
+// slice's spare capacity.
+func (s *Scheduler) pop() event {
+	h := s.events
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{}
+	h = h[:n]
+	s.events = h
+	if n == 0 {
+		return top
+	}
+	// Sift last down from the root, moving the smaller child up.
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].before(&h[c]) {
+			c++
+		}
+		if !h[c].before(&last) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = last
+	return top
+}
+
 // Step executes the next pending event, advancing the clock to its
 // timestamp. It reports whether an event was executed.
 func (s *Scheduler) Step() bool {
-	if s.events.Len() == 0 {
+	if len(s.events) == 0 {
 		return false
 	}
-	e := heap.Pop(&s.events).(*event)
+	e := s.pop()
 	s.now = e.at
 	s.nRun++
-	e.fn()
+	if e.sink != nil {
+		e.sink.DeliverFrame(e.frame)
+	} else {
+		e.fn()
+	}
 	return true
 }
 
@@ -122,7 +179,7 @@ func (s *Scheduler) Run() {
 // RunUntil executes events with timestamps <= t, then sets the clock to t.
 // Events scheduled beyond t remain queued.
 func (s *Scheduler) RunUntil(t Time) {
-	for s.events.Len() > 0 && s.events[0].at <= t {
+	for len(s.events) > 0 && s.events[0].at <= t {
 		s.Step()
 	}
 	if s.now < t {
@@ -134,7 +191,7 @@ func (s *Scheduler) RunUntil(t Time) {
 func (s *Scheduler) RunFor(d Duration) { s.RunUntil(s.now.Add(d)) }
 
 // Pending reports the number of queued events.
-func (s *Scheduler) Pending() int { return s.events.Len() }
+func (s *Scheduler) Pending() int { return len(s.events) }
 
 // Clock is a read-only view of virtual time. *Scheduler implements it for
 // code running on the scheduler goroutine. Code running OFF the scheduler

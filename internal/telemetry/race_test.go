@@ -182,6 +182,7 @@ func TestBusRecorderConcurrent(t *testing.T) {
 	readers.Add(1)
 	go func() {
 		defer readers.Done()
+		late := 0
 		for {
 			select {
 			case <-done:
@@ -193,11 +194,18 @@ func TestBusRecorderConcurrent(t *testing.T) {
 				r.Mean(name)
 				r.Series(name) // concurrent Series read mid-storm
 			}
-			b.Subscribe("probe", func(Sample) {})
-			// Attach-during-Publish: late recorders join while the
-			// publishers are mid-storm, like a management-plane probe
-			// attaching to a running engine.
-			NewRecorder().Attach(b, "a")
+			// Each late subscriber makes every later Publish slower and
+			// each late recorder keeps every later sample, so a reader
+			// that outruns the publishers must stop attaching: unbounded,
+			// this loop has been OOM-killed at 16 GB on a busy 2-CPU host.
+			if late < 64 {
+				late++
+				b.Subscribe("probe", func(Sample) {})
+				// Attach-during-Publish: late recorders join while the
+				// publishers are mid-storm, like a management-plane
+				// probe attaching to a running engine.
+				NewRecorder().Attach(b, "a")
+			}
 		}
 	}()
 
