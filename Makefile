@@ -91,12 +91,14 @@ ranbench-selftest:
 	$(GO) test -C bench ./...
 
 # FUZZTIME bounds each fuzz target; the wire-format dissectors must never
-# panic however mangled the frame.
+# panic however mangled the frame, and the one-pass BFP merge must match
+# the three-pass reference byte for byte or fail the same way.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDissect -fuzztime $(FUZZTIME) ./internal/fh
 	$(GO) test -run '^$$' -fuzz FuzzCPlane -fuzztime $(FUZZTIME) ./internal/oran
 	$(GO) test -run '^$$' -fuzz FuzzUPlane -fuzztime $(FUZZTIME) ./internal/oran
 	$(GO) test -run '^$$' -fuzz FuzzBFPDecode -fuzztime $(FUZZTIME) ./internal/bfp
+	$(GO) test -run '^$$' -fuzz FuzzBFPMerge -fuzztime $(FUZZTIME) ./internal/bfp
 
 check: lint build race scale-smoke

@@ -120,6 +120,11 @@ func (a *App) HandleBurst(ctx *core.Context, pkts []*fh.Packet) error {
 
 // handleDownstream replicates DU traffic to every RU (A1+A2).
 func (a *App) handleDownstream(ctx *core.Context, pkt *fh.Packet) error {
+	if len(a.cfg.RUs) == 0 {
+		// Every RU was removed through Control: nowhere to send.
+		ctx.Drop(pkt)
+		return nil
+	}
 	for _, ruMAC := range a.cfg.RUs[1:] {
 		cp := ctx.Replicate(pkt)
 		if err := ctx.Redirect(cp, ruMAC, a.cfg.MAC, -1); err != nil {
@@ -153,11 +158,14 @@ func (a *App) handleUpstream(ctx *core.Context, pkt *fh.Packet) error {
 // must share a section layout, which they do by construction: each RU
 // answered the same replicated C-plane request.
 //
-// All working storage — accumulation grids, the per-packet decode grid,
-// the re-encoded payloads and both U-plane messages — comes from the
-// shard's pooled Transcoder and message scratch, so a steady-state merge
-// performs zero allocations (fh.Rebuild copies the payloads out into the
-// fresh frame, so nothing from the arena outlives the Handle call).
+// Nothing is decoded into a grid: every packet's sections are lined up as
+// compressed sources and the Transcoder's one-pass MergeGrid decodes, sums
+// and re-encodes them a PRB at a time, whatever mix of compression
+// parameters the RUs answered with. The source list, the re-encoded
+// payloads and both U-plane messages come from the shard's pooled scratch,
+// so a steady-state merge performs zero allocations (fh.Rebuild copies the
+// payloads out into the fresh frame, so nothing from the arena outlives
+// the Handle call).
 func (a *App) merge(ctx *core.Context, pkts []*fh.Packet) (*fh.Packet, error) {
 	tx := ctx.Transcoder()
 	tx.Reset()
@@ -166,21 +174,16 @@ func (a *App) merge(ctx *core.Context, pkts []*fh.Packet) (*fh.Packet, error) {
 	if err := base.UPlane(baseMsg, a.cfg.CarrierPRBs); err != nil {
 		return nil, err
 	}
-	// Decode every section of every packet into grids and accumulate.
-	// Grid slot i accumulates section i; slot nSec holds the per-packet
-	// decode scratch. DecompressGrid overwrites every PRB it is given, so
-	// the stale slot contents never leak into a merge.
-	nSec := len(baseMsg.Sections)
-	totalPRB := 0
+	// Section i's sources, one per packet in arrival order, are
+	// srcs[i*k:(i+1)*k]. Payloads alias the cached packets' frames.
+	nSec, k := len(baseMsg.Sections), len(pkts)
+	srcs := tx.Sections(nSec * k)
 	for i := range baseMsg.Sections {
 		s := &baseMsg.Sections[i]
-		totalPRB += s.NumPRB
-		if _, err := bfp.DecompressGrid(s.Payload, tx.Grid(i, s.NumPRB), s.Comp); err != nil {
-			return nil, err
-		}
+		srcs[i*k] = bfp.Section{Payload: s.Payload, Comp: s.Comp}
 	}
 	msg := ctx.UPlaneScratch(1)
-	for _, p := range pkts[1:] {
+	for j, p := range pkts[1:] {
 		if err := p.UPlane(msg, a.cfg.CarrierPRBs); err != nil {
 			return nil, err
 		}
@@ -200,23 +203,21 @@ func (a *App) merge(ctx *core.Context, pkts []*fh.Packet) (*fh.Packet, error) {
 				return nil, fmt.Errorf("das: section %d width mismatch (%d vs %d PRBs)",
 					i, s.NumPRB, baseMsg.Sections[i].NumPRB)
 			}
-			g := tx.Grid(nSec, s.NumPRB)
-			if _, err := bfp.DecompressGrid(s.Payload, g, s.Comp); err != nil {
-				return nil, err
-			}
-			tx.Grid(i, s.NumPRB).AddSat(g)
+			srcs[i*k+j+1] = bfp.Section{Payload: s.Payload, Comp: s.Comp}
 		}
 	}
-	ctx.ChargeMerge(totalPRB, len(pkts))
-
-	// Re-encode into the base packet's layout, payloads in the arena.
+	// Merge each section into the base packet's layout and compression,
+	// payloads in the arena.
+	totalPRB := 0
 	for i := range baseMsg.Sections {
 		s := &baseMsg.Sections[i]
-		payload, err := tx.CompressGrid(tx.Grid(i, s.NumPRB), s.Comp)
+		payload, err := tx.MergeGrid(srcs[i*k:(i+1)*k], s.NumPRB, s.Comp)
 		if err != nil {
 			return nil, err
 		}
 		s.Payload = payload
+		totalPRB += s.NumPRB
 	}
+	ctx.ChargeMerge(totalPRB, k)
 	return fh.Rebuild(base, baseMsg.AppendTo), nil
 }

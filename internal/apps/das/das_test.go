@@ -1,6 +1,7 @@
 package das
 
 import (
+	"bytes"
 	"testing"
 
 	"ranbooster/internal/bfp"
@@ -37,13 +38,20 @@ func newDAS(t *testing.T) (*sim.Scheduler, *core.Engine, *App, *[][]byte) {
 
 func uplink(t *testing.T, b *fh.Builder, grid iq.Grid, sym uint8) []byte {
 	t.Helper()
-	payload, err := bfp.CompressGrid(nil, grid, bfp9())
+	return uplinkAs(t, b, grid, sym, bfp9(), 0)
+}
+
+// uplinkAs builds a one-section uplink frame compressed under comp, with
+// the last cut bytes of the section payload missing from the wire.
+func uplinkAs(t *testing.T, b *fh.Builder, grid iq.Grid, sym uint8, comp bfp.Params, cut int) []byte {
+	t.Helper()
+	payload, err := bfp.CompressGrid(nil, grid, comp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	msg := &oran.UPlaneMsg{
 		Timing:   oran.Timing{Direction: oran.Uplink, FrameID: 2, SymbolID: sym},
-		Sections: []oran.USection{{NumPRB: len(grid), Comp: bfp9(), Payload: payload}},
+		Sections: []oran.USection{{NumPRB: len(grid), Comp: comp, Payload: payload[:len(payload)-cut]}},
 	}
 	return b.UPlane(ecpri.PcID{RUPort: 0}, msg)
 }
@@ -128,7 +136,7 @@ func TestUplinkMergeIsElementwiseSum(t *testing.T) {
 }
 
 // TestMergeSteadyStateAllocs pins the allocation budget of a full uplink
-// combine cycle: two RU frames in, one merged frame out. The decode grids,
+// combine cycle: two RU frames in, one merged frame out. The source list,
 // re-encoded payloads and U-plane messages all come from the shard's
 // pooled Transcoder and the emit is a closure-free scheduler frame event,
 // so the only allocations left are the per-frame fh.Packet copies, the
@@ -165,6 +173,87 @@ func TestMergeSteadyStateAllocs(t *testing.T) {
 	t.Logf("merge cycle allocations: %.1f", avg)
 }
 
+// TestMergeMixedCompression pins the path where the RUs answer under
+// different compression parameters: the merge decodes each source under its
+// own udCompHdr, re-encodes under the first-arrived packet's, and emits
+// exactly the bytes of decode → saturating add → encode.
+func TestMergeMixedCompression(t *testing.T) {
+	s, eng, app, out := newDAS(t)
+	b1 := fh.NewBuilder(ru1MAC, mbMAC, -1)
+	b2 := fh.NewBuilder(ru2MAC, mbMAC, -1)
+	bfp14 := bfp.Params{IQWidth: 14, Method: bfp.MethodBlockFloatingPoint}
+	g1, g2 := iq.NewGrid(8), iq.NewGrid(8)
+	for i := range g1 {
+		for j := range g1[i] {
+			g1[i][j] = iq.Sample{I: int16(3000*i + 17*j), Q: int16(-2500*i - j)}
+			g2[i][j] = iq.Sample{I: int16(1500*i + j), Q: int16(-2200*i - 9*j)} // Q saturates in the last PRB
+		}
+	}
+	eng.Ingress(uplinkAs(t, b1, g1, 4, bfp9(), 0))
+	eng.Ingress(uplinkAs(t, b2, g2, 4, bfp14, 0))
+	s.Run()
+	if app.Merges.Load() != 1 || len(*out) != 1 {
+		t.Fatalf("merges = %d, out = %d", app.Merges.Load(), len(*out))
+	}
+	var p fh.Packet
+	if err := p.Decode((*out)[0]); err != nil {
+		t.Fatal(err)
+	}
+	var msg oran.UPlaneMsg
+	if err := p.UPlane(&msg, 106); err != nil {
+		t.Fatal(err)
+	}
+	if msg.Sections[0].Comp != bfp9() {
+		t.Fatalf("merged section compression = %+v, want the first packet's", msg.Sections[0].Comp)
+	}
+	// The reference: what each RU's wire bytes decode to, summed, re-encoded.
+	w1, _ := bfp.CompressGrid(nil, g1, bfp9())
+	w2, _ := bfp.CompressGrid(nil, g2, bfp14)
+	acc, other := iq.NewGrid(8), iq.NewGrid(8)
+	if _, err := bfp.DecompressGrid(w1, acc, bfp9()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bfp.DecompressGrid(w2, other, bfp14); err != nil {
+		t.Fatal(err)
+	}
+	acc.AddSat(other)
+	want, err := bfp.CompressGrid(nil, acc, bfp9())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(msg.Sections[0].Payload, want) {
+		t.Fatalf("merged payload differs from decode → add → encode:\n got  %x\n want %x", msg.Sections[0].Payload, want)
+	}
+}
+
+// TestMergeTruncatedSectionFails: a section whose payload is one byte short
+// of what its header promises fails the merge of that symbol — counted as
+// an app error, nothing emitted — and the next symbol merges normally.
+func TestMergeTruncatedSectionFails(t *testing.T) {
+	s, eng, app, out := newDAS(t)
+	b1 := fh.NewBuilder(ru1MAC, mbMAC, -1)
+	b2 := fh.NewBuilder(ru2MAC, mbMAC, -1)
+	g := iq.NewGrid(8)
+	for i := range g {
+		g[i][0] = iq.Sample{I: int16(i * 900), Q: int16(-i * 900)}
+	}
+	eng.Ingress(uplink(t, b1, g, 4))
+	eng.Ingress(uplinkAs(t, b2, g, 4, bfp9(), 1))
+	s.Run()
+	if app.Merges.Load() != 0 || len(*out) != 0 {
+		t.Fatalf("truncated section merged: merges = %d, out = %d", app.Merges.Load(), len(*out))
+	}
+	if st := eng.Snapshot(); st.AppErrors != 1 {
+		t.Fatalf("AppErrors = %d, want 1", st.AppErrors)
+	}
+	eng.Ingress(uplink(t, b1, g, 5))
+	eng.Ingress(uplink(t, b2, g, 5))
+	s.Run()
+	if app.Merges.Load() != 1 || len(*out) != 1 {
+		t.Fatalf("after the bad symbol: merges = %d, out = %d", app.Merges.Load(), len(*out))
+	}
+}
+
 func TestDifferentSymbolsDoNotMerge(t *testing.T) {
 	s, eng, app, _ := newDAS(t)
 	b1 := fh.NewBuilder(ru1MAC, mbMAC, -1)
@@ -187,6 +276,47 @@ func TestUnknownSourceDropped(t *testing.T) {
 	}
 	if eng.Snapshot().AppDrops != 1 {
 		t.Fatalf("drops = %d", eng.Snapshot().AppDrops)
+	}
+}
+
+// TestDownlinkWithNoRUs is the regression test for the datapath panic after
+// Control removed the last RU: a DU frame with nowhere to go is dropped,
+// and replication resumes when an RU is added back.
+func TestDownlinkWithNoRUs(t *testing.T) {
+	s, eng, app, out := newDAS(t)
+	for _, m := range []eth.MAC{ru1MAC, ru2MAC} {
+		if err := app.Control("remove-ru", map[string]string{"mac": m.String()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := fh.NewBuilder(duMAC, mbMAC, -1)
+	msg := &oran.CPlaneMsg{
+		Timing:      oran.Timing{Direction: oran.Downlink},
+		SectionType: oran.SectionType1,
+		Sections:    []oran.CSection{{NumPRB: 106, NumSymbol: 14, ReMask: 0xfff}},
+	}
+	eng.Ingress(b.CPlane(ecpri.PcID{}, msg))
+	s.Run()
+	if len(*out) != 0 {
+		t.Fatalf("forwarded %d frames with no RU configured", len(*out))
+	}
+	if drops := eng.Snapshot().AppDrops; drops != 1 {
+		t.Fatalf("AppDrops = %d, want 1", drops)
+	}
+	if err := app.Control("add-ru", map[string]string{"mac": ru2MAC.String()}); err != nil {
+		t.Fatal(err)
+	}
+	eng.Ingress(b.CPlane(ecpri.PcID{}, msg))
+	s.Run()
+	if len(*out) != 1 {
+		t.Fatalf("after re-adding an RU: %d frames out, want 1", len(*out))
+	}
+	var p fh.Packet
+	if err := p.Decode((*out)[0]); err != nil {
+		t.Fatal(err)
+	}
+	if p.Eth.Dst != ru2MAC {
+		t.Fatalf("frame went to %v, want the re-added RU", p.Eth.Dst)
 	}
 }
 

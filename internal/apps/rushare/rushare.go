@@ -220,9 +220,9 @@ func (a *App) duSet(pkts []*fh.Packet) uint64 {
 func subset(needed, have uint64) bool { return needed&^have == 0 }
 
 // muxDL combines the cached DL U-plane packets into one full-position
-// message on the RU grid. Decode scratch, relocated payloads and the
-// combined message all come from the shard's pooled scratch, so a
-// steady-state mux allocates only the rebuilt output frame.
+// message on the RU grid. Relocated payloads and the combined message all
+// come from the shard's pooled scratch, so a steady-state mux allocates
+// only the rebuilt output frame.
 func (a *App) muxDL(ctx *core.Context, pkts []*fh.Packet, t oran.Timing) (*fh.Packet, error) {
 	ctx.Transcoder().Reset()
 	out := ctx.UPlaneScratch(1)
@@ -267,27 +267,32 @@ func (a *App) relocate(ctx *core.Context, s *oran.USection, idx int, toRU bool) 
 		NumPRB:    s.NumPRB,
 		Comp:      s.Comp,
 	}
-	tx := ctx.Transcoder()
 	if a.align[idx] {
 		ctx.ChargeCopyAligned(s.NumPRB)
 		a.AlignedCopies.Add(1)
-		sec.Payload = tx.AppendBytes(s.Payload)
+		sec.Payload = ctx.Transcoder().AppendBytes(s.Payload)
 		return sec, nil
 	}
-	// Misaligned: decompress, re-grid, recompress (Fig. 6 right), all
-	// through the pooled grid and arena scratch.
-	g := tx.Grid(0, s.NumPRB)
-	if _, err := bfp.DecompressGrid(s.Payload, g, s.Comp); err != nil {
-		return sec, err
-	}
-	payload, err := tx.CompressGrid(g, sec.Comp)
+	var err error
+	sec.Payload, err = a.transcode(ctx, s.Payload, s.Comp, s.NumPRB)
+	return sec, err
+}
+
+// transcode is the misaligned path (Fig. 6 right): the first n PRBs of
+// payload are decompressed, re-gridded and recompressed under the same
+// parameters — one PRB at a time through the Transcoder's single-source
+// MergeGrid, the result in the arena.
+func (a *App) transcode(ctx *core.Context, payload []byte, comp bfp.Params, n int) ([]byte, error) {
+	tx := ctx.Transcoder()
+	src := tx.Sections(1)
+	src[0] = bfp.Section{Payload: payload, Comp: comp}
+	out, err := tx.MergeGrid(src, n, comp)
 	if err != nil {
-		return sec, err
+		return nil, err
 	}
-	ctx.ChargeRecompress(s.NumPRB)
+	ctx.ChargeRecompress(n)
 	a.Recompress.Add(1)
-	sec.Payload = payload
-	return sec, nil
+	return out, nil
 }
 
 // fromRU demultiplexes uplink traffic back to the tenants.
@@ -381,23 +386,13 @@ func (a *App) carve(ctx *core.Context, s *oran.USection, idx int) (oran.USection
 	}
 	size := s.Comp.PRBSize()
 	start := (sLo - s.StartPRB) * size
-	tx := ctx.Transcoder()
 	if a.align[idx] {
 		ctx.ChargeCopyAligned(n)
 		a.AlignedCopies.Add(1)
-		sec.Payload = tx.AppendBytes(s.Payload[start : start+n*size])
+		sec.Payload = ctx.Transcoder().AppendBytes(s.Payload[start : start+n*size])
 		return sec, true, nil
 	}
-	g := tx.Grid(0, n)
-	if _, err := bfp.DecompressGrid(s.Payload[start:], g, s.Comp); err != nil {
-		return sec, false, err
-	}
-	payload, err := tx.CompressGrid(g, sec.Comp)
-	if err != nil {
-		return sec, false, err
-	}
-	ctx.ChargeRecompress(n)
-	a.Recompress.Add(1)
-	sec.Payload = payload
-	return sec, true, nil
+	var err error
+	sec.Payload, err = a.transcode(ctx, s.Payload[start:], s.Comp, n)
+	return sec, err == nil, err
 }

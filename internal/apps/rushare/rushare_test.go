@@ -238,7 +238,7 @@ func TestUplinkDemuxCarvesPerTenant(t *testing.T) {
 // sharing cycle on the misaligned (transcoding) path: both DUs deliver
 // downlink IQ that is muxed onto the RU grid, and the RU's uplink spectrum
 // is carved back per tenant. The C-plane requests are slot-scoped and
-// cached once up front; every per-cycle decode grid, re-encoded payload
+// cached once up front; every per-cycle source list, re-encoded payload
 // and staging message comes from the shard's pooled Transcoder and the
 // three emits are closure-free scheduler frame events, so the remaining
 // allocations are the fixed per-frame packet, cache and rebuilt-frame

@@ -12,12 +12,17 @@
 // (exponent at the floor) is carrying almost no energy and can be counted
 // as unutilized without decompressing anything.
 //
-// The codec works a PRB at a time through the word-at-a-time kernels in
-// kernels.go: the wire-common widths 9, 14 and 16 have unrolled 64-bit-lane
-// specializations, other widths fall back to a generic indexed bit loop.
-// Destinations are grown once per call, never appended to byte by byte, and
-// truncated input is always an error — short payloads never decode as
-// silent zero samples.
+// The codec has two levels. CompressPRB/Grid and DecompressPRB/Grid move
+// between wire bytes and iq samples a PRB at a time through the
+// word-at-a-time kernels in kernels.go: the wire-common widths 9, 14 and 16
+// have unrolled specializations that read and write 64-bit words, other
+// widths fall back to a generic indexed bit loop. MergeGrid (merge.go) is
+// what the middleboxes' A4 action runs: it sums any number of compressed
+// sections and re-encodes the sum without ever producing a decoded grid,
+// for width 9 in the 16-bit-lane SWAR kernels of lanes.go, byte-identical
+// to decompress → add → compress. Destinations are grown once per call,
+// never appended to byte by byte, and truncated input is always an error —
+// short payloads never decode as silent zero samples.
 package bfp
 
 import (

@@ -189,12 +189,12 @@ func (c *Context) ModifyCPlane(pkt *fh.Packet, carrierPRBs int, fn func(msg *ora
 	return fh.Rebuild(pkt, msg.AppendTo), nil
 }
 
-// Transcoder returns the shard's pooled BFP transcode scratch (A4): grid
-// slots, a payload arena and an exponent buffer, pre-sized to the carrier
-// and reused for every frame the shard processes. Apps running the decode
-// → modify → re-encode cycle should call Reset once per Handle and draw
-// all working buffers from it — in steady state the cycle then performs
-// zero allocations. The scratch is shard-local: frames of one eAxC stream
+// Transcoder returns the shard's pooled BFP transcode scratch (A4): a
+// payload arena, the one-pass merge's source list and an exponent buffer,
+// pre-sized to the carrier and reused for every frame the shard processes.
+// Apps running the decode → modify → re-encode cycle should call Reset once
+// per Handle and draw all working buffers from it — in steady state the
+// cycle then performs zero allocations. The scratch is shard-local: frames of one eAxC stream
 // always land on the same shard, so no synchronization is needed.
 func (c *Context) Transcoder() *bfp.Transcoder { return c.w.txc }
 

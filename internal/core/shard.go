@@ -329,9 +329,9 @@ type worker struct {
 	// the first use of a name.
 	counters map[string]*telemetry.Counter
 	// txc is the incarnation's BFP transcode scratch, pre-sized to the
-	// carrier: grids, payload arena and exponent buffer for the A4 decode
-	// → modify → re-encode cycle, reused frame after frame (handed to
-	// apps via Context.Transcoder).
+	// carrier: payload arena, merge source list and exponent buffer for
+	// the A4 decode → modify → re-encode cycle, reused frame after frame
+	// (handed to apps via Context.Transcoder).
 	txc *bfp.Transcoder
 	// msgs are reusable U-plane message decode slots (the section slices
 	// inside are recycled by oran.UPlaneMsg.DecodeFromBytes). Slot 0 is
