@@ -53,7 +53,9 @@ chaos:
 
 # Supervision chaos smoke: the seeded panic/stall/shed acceptance run
 # (internal/fault) under the race detector, plus the supervision rows of
-# the chaos experiment. Everything is sim-clocked and deterministic.
+# the chaos experiment. Injector schedules and the breaker run on the sim
+# clock; the shard watchdog's deadline is wall time (its workers are
+# goroutines), asserted against a bound that scales with the polls given.
 chaos-supervise:
 	$(GO) test ./internal/fault/ -race -run 'TestChaosSupervisionAcceptance|TestPanicEvery|TestStall' -count=1
 	$(GO) test ./internal/experiments/ -run TestSuperviseScenarios -count=1 -v
@@ -66,26 +68,19 @@ soak:
 	$(GO) test ./internal/testbed/ -run 'TestMetro' -count=1 -v
 
 # Scale smoke: the small metro configurations and the work-stealing
-# admission tests under the race detector, plus a fixed-iteration pass
-# over the skewed-load scale bench (catches panics and alloc
-# regressions; timing is judged only by the BENCH_8.json snapshots).
+# admission tests under the race detector.
 scale-smoke:
 	$(GO) test ./internal/testbed/ -race -short -run 'TestMetro' -count=1
 	$(GO) test ./internal/core/ -race -short -run 'TestWorkSteal|TestScalePolicy' -count=1
-	$(GO) test -run '^$$' -bench EngineScale -benchtime 100x .
 
-# Bench regression snapshot: runs the engine benchmark matrix (parallel
-# and traced at 1/2/4 cores, plus the burst axis at batch 16/32/64) and
-# the BFP codec microbenchmarks, recording them to BENCH_6.json; then
-# the metro-scale axis (streams × shards × chain depth, plus the
-# hash-vs-worksteal skew comparison) to BENCH_8.json. The
-# tracing-overhead gate itself runs as a test (internal/benchreg).
+# The repository's benchmark is ranbench (bench/, BENCHMARK.json), a
+# module of its own that build, vet and test above do not see: all four
+# workloads, one JSON document (see bench/README.md).
 bench:
-	$(GO) run ./cmd/benchreg -o BENCH_6.json -scale-o BENCH_8.json
+	$(GO) run -C bench ranbooster/bench -all
 
-# ranbench (bench/) is a module of its own, so build, vet and test above do
-# not see it: this compiles it against the current internal/ API and runs
-# its replay-hygiene self-test (< 5 s, no timing assertions).
+# ranbench-selftest compiles ranbench against the current internal/ API and
+# runs its replay-hygiene self-test (< 5 s, no timing assertions).
 ranbench-selftest:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...

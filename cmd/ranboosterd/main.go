@@ -13,7 +13,7 @@
 //	ranboosterd -app das -trace -tracedump -        # slot replay of frame spans
 //	ranboosterd -app das -trace -pcap run.pcap      # spans correlate with capture
 //	ranboosterd -panic-every 1000                   # supervision demo: panic isolation
-//	ranboosterd -stall-after 1ms -panic-every 250   # + watchdog restart of a wedged shard
+//	ranboosterd -stall-after 50ms -panic-every 250  # + watchdog restart of a wedged shard
 //	ranboosterd -floors 8 -cells 4 -chain 3         # metro scenario: chained middleboxes
 //	ranboosterd -floors 16 -chain 2 -metrics :9090  # live metrics across the whole chain
 package main
@@ -58,7 +58,7 @@ func main() {
 	traceDump := flag.String("tracedump", "", "write a slot-replay of the recorded frame spans to this path after the run (\"-\" for stdout; implies -trace)")
 	pcapPath := flag.String("pcap", "", "capture every frame crossing the fabric to this pcap file")
 	panicEvery := flag.Int("panic-every", 0, "supervision demo: the App panics every Nth invocation; the engine isolates and quarantines (implies the standalone supervision harness)")
-	stallAfterF := flag.Duration("stall-after", 0, "supervision demo: shard-watchdog deadline; the App also wedges once mid-run so the hitless restart is exercised (implies the standalone supervision harness)")
+	stallAfterF := flag.Duration("stall-after", 0, "supervision demo: shard-watchdog deadline, wall clock (keep it above the host's worst goroutine preemption, tens of ms); the App also wedges once mid-run so the hitless restart is exercised (implies the standalone supervision harness)")
 	floors := flag.Int("floors", 0, "metro scenario: number of floors (implies the standalone metro harness; see -cells and -chain)")
 	cellsPerFloor := flag.Int("cells", 0, "metro scenario: cells per floor")
 	chain := flag.Int("chain", 0, "metro scenario: middlebox chain depth (engines traversed in sequence)")
@@ -297,18 +297,20 @@ func (demoForward) Handle(ctx *core.Context, pkt *fh.Packet) error {
 func superviseDemo(panicEvery int, stallAfter, dur time.Duration, metrics string) {
 	s := sim.NewScheduler()
 	var app core.App = demoForward{}
-	var pstats *fault.PanicStats
-	if panicEvery > 0 {
-		app, pstats = fault.PanicEvery(app, panicEvery, 42)
-	}
 	const cadence = 10 * time.Microsecond
 	frames := int(dur / cadence)
 	if frames < 1024 {
 		frames = 1024
 	}
+	// The panic injector wraps the stall: the wedged call resumes in a
+	// retired worker, so nothing counted may happen after the wedge.
 	var stall *fault.Stall
 	if stallAfter > 0 {
 		app, stall = fault.StallFor(app, uint64(frames/2))
+	}
+	var pstats *fault.PanicStats
+	if panicEvery > 0 {
+		app, pstats = fault.PanicEvery(app, panicEvery, 42)
 	}
 	pol := core.SupervisePolicy{
 		StallAfter:    stallAfter,
@@ -343,22 +345,16 @@ func superviseDemo(panicEvery int, stallAfter, dur time.Duration, metrics string
 		fmt.Printf("serving /metrics on %v\n", ln.Addr())
 	}
 
-	poll := 100 * time.Microsecond
-	if stallAfter > 0 {
-		poll = stallAfter / 4
-	}
+	// poll is the virtual time each supervision step advances, for the
+	// breaker cooldown; -stall-after is wall time.
+	const poll = 100 * time.Microsecond
 	exitOn(eng.Start())
-	if stall != nil {
-		// The wedged call frees itself after 10x the watchdog deadline —
-		// long after the supervisor has restarted the shard around it.
-		defer stall.Arm(s, 10*stallAfter, poll)()
-	}
 	fmt.Printf("supervision demo: %d frames on 2 cores", frames)
 	if panicEvery > 0 {
 		fmt.Printf("; app panics every %dth call (budget %d)", panicEvery, pol.PanicBudget)
 	}
 	if stallAfter > 0 {
-		fmt.Printf("; app wedges at call %d (watchdog %v)", frames/2, stallAfter)
+		fmt.Printf("; app wedges at call %d (watchdog %v wall)", frames/2, stallAfter)
 	}
 	fmt.Println()
 
@@ -366,7 +362,7 @@ func superviseDemo(panicEvery int, stallAfter, dur time.Duration, metrics string
 		fh.NewBuilder(eth.MAC{2, 0, 0, 0, 0, 1}, eth.MAC{2, 0, 0, 0, 0, 2}, -1),
 		fh.NewBuilder(eth.MAC{2, 0, 0, 0, 0, 1}, eth.MAC{2, 0, 0, 0, 0, 2}, -1),
 	}
-	var tWedge, tRestart sim.Time
+	var tWedge, tRestart time.Time
 	step := func() {
 		// Let the workers run between virtual-time polls (single-CPU
 		// hosts otherwise starve them against this driver loop).
@@ -376,11 +372,11 @@ func superviseDemo(panicEvery int, stallAfter, dur time.Duration, metrics string
 		s.RunFor(poll)
 		eng.Supervise()
 		if stall != nil {
-			if tWedge == 0 && stall.Stalled() {
-				tWedge = s.Now()
+			if tWedge.IsZero() && stall.Stalled() {
+				tWedge = time.Now()
 			}
-			if tRestart == 0 && eng.Snapshot().ShardRestarts > 0 {
-				tRestart = s.Now()
+			if tRestart.IsZero() && eng.Snapshot().ShardRestarts > 0 {
+				tRestart = time.Now()
 			}
 		}
 	}
@@ -394,8 +390,17 @@ func superviseDemo(panicEvery int, stallAfter, dur time.Duration, metrics string
 			step()
 		}
 	}
+	// Drain. The wedged shard's ring empties only once the watchdog has
+	// restarted it, a wall-clock deadline away, so each of the bounded
+	// polls also sleeps a hundredth of that deadline (0 without -stall-after).
 	for i := 0; i < 4000 && eng.Snapshot().RxFrames < uint64(frames); i++ {
+		time.Sleep(stallAfter / 100)
 		step()
+	}
+	if stall != nil {
+		// Held until the run ends, long after the supervisor restarted the
+		// shard around it; released so Stop can join even if it did not.
+		stall.Release()
 	}
 	eng.Stop()
 
@@ -407,9 +412,9 @@ func superviseDemo(panicEvery int, stallAfter, dur time.Duration, metrics string
 			pstats.Panics(), st.AppPanics, st.Quarantined, st.Breaker, len(rec.Series(core.KPIBreaker)))
 	}
 	if stall != nil {
-		if tRestart > 0 {
-			fmt.Printf("watchdog: wedge observed at %v, shard restarted by %v (bound StallAfter + 2 polls = %v); restarts %d\n",
-				time.Duration(tWedge), time.Duration(tRestart), stallAfter+2*poll, st.ShardRestarts)
+		if !tRestart.IsZero() {
+			fmt.Printf("watchdog: shard restarted %v after the wedge was observed (wall clock, deadline %v); restarts %d\n",
+				tRestart.Sub(tWedge).Round(time.Microsecond), stallAfter, st.ShardRestarts)
 		} else {
 			fmt.Printf("watchdog: no restart observed (restarts %d)\n", st.ShardRestarts)
 		}

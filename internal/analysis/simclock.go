@@ -10,9 +10,9 @@ import (
 // run — including the fault injector's schedules and the trace pipeline's
 // stamps — replays bit-identically; one stray time.Now() quietly breaks
 // that. The analyzer forbids wall-clock reads and wall-clock-armed timers
-// in internal/ packages outside internal/sim itself. Files that measure
-// real elapsed time on purpose (the benchmark harness) carry a
-// //ranvet:allowfile simclock <reason> directive.
+// in internal/ packages outside internal/sim itself. Code that must time
+// goroutines running on wall time (the shard watchdog) reads sim.Monotonic;
+// anything else needs a //ranvet:allowfile simclock <reason> directive.
 var SimClock = &Analyzer{
 	Name:  "simclock",
 	Alias: "simclock",

@@ -29,9 +29,9 @@ const (
 // empty poll, kernel retirement on), so existing callers need not change.
 type BurstPolicy struct {
 	// Batch bounds how many frames a worker drains per wakeup; the burst
-	// loop amortizes per-frame overhead across the vector. 16-64 is the
-	// useful range; 0 defaults to DefaultBatch. Negative values and values
-	// above MaxBatch are rejected with ErrBadBatch.
+	// loop amortizes per-frame overhead across the vector. 0 defaults to
+	// DefaultBatch. Negative values and values above MaxBatch are rejected
+	// with ErrBadBatch.
 	Batch int
 	// MaxIdlePolls is how many consecutive empty polls a parallel worker
 	// tolerates (yielding the processor between polls) before blocking on

@@ -1,5 +1,5 @@
 //go:build !race
 
-package benchreg
+package core
 
 const raceEnabled = false

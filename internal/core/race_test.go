@@ -1,6 +1,6 @@
 //go:build race
 
-package benchreg
+package core
 
 // raceEnabled reports that this binary was built with the race detector.
 // Race instrumentation multiplies memory-access costs unevenly across the

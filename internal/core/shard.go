@@ -273,8 +273,8 @@ type shard struct {
 	// SupervisePolicy enables AIMD watermarks.
 	aimd *aimdState
 	// wdLastSeq / wdSince are the watchdog's observation state: the app-
-	// invocation counter last seen and the instant it was first seen
-	// unfinished (supervisor/producer goroutine only).
+	// invocation counter being watched (0 = none) and the sim.Monotonic
+	// instant it was first seen unfinished (supervisor goroutine only).
 	wdLastSeq uint64
 	wdSince   sim.Time
 
@@ -305,7 +305,7 @@ type worker struct {
 	isolate bool
 	// appSeq / appDone are the watchdog's progress counters: appSeq
 	// increments entering an App invocation, appDone leaving it. Stuck
-	// means appSeq != appDone with appSeq unchanged across two polls.
+	// means appSeq != appDone, appSeq unchanged for StallAfter of wall time.
 	appSeq, appDone atomic.Uint64
 	// seq is the sequence-tracking table trackSeq writes: the shard's
 	// own table in the hash layout, swapped to the running stream's

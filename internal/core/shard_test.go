@@ -77,88 +77,130 @@ func seqFrame(t *testing.T, b *fh.Builder, port uint8, seq int) []byte {
 	return b.UPlane(ecpri.PcID{RUPort: port}, msg)
 }
 
+const fifoStreams = 8
+
+// fifoApp records the per-stream handling order. pause, when set, holds
+// each Handle open so overlapping workers show up in maxConc.
+type fifoApp struct {
+	seen     [fifoStreams][]int // seen[p] is written only by whoever owns stream p
+	pause    time.Duration
+	inflight atomic.Int32
+	maxConc  atomic.Int32
+}
+
+func (a *fifoApp) Name() string { return "fifo" }
+
+func (a *fifoApp) Handle(ctx *Context, pkt *fh.Packet) error {
+	n := a.inflight.Add(1)
+	for {
+		m := a.maxConc.Load()
+		if n <= m || a.maxConc.CompareAndSwap(m, n) {
+			break
+		}
+	}
+	tim, err := pkt.Timing()
+	if err != nil {
+		return err
+	}
+	port := pkt.EAxC().RUPort
+	a.seen[port] = append(a.seen[port], int(tim.FrameID)*16+int(tim.SubframeID))
+	time.Sleep(a.pause) // widen the race window
+	a.inflight.Add(-1)
+	ctx.Forward(pkt)
+	return nil
+}
+
+// fifoBurstApp is fifoApp behind the BurstApp contract: one call per
+// drained burst.
+type fifoBurstApp struct{ fifoApp }
+
+func (a *fifoBurstApp) HandleBurst(ctx *Context, pkts []*fh.Packet) error {
+	for _, pkt := range pkts {
+		if err := a.Handle(ctx, pkt); err != nil {
+			ctx.PacketError(pkt, err)
+		}
+	}
+	return nil
+}
+
 // TestShardFIFOOrdering is the sharding contract test: with parallel
-// workers over 4 shards and 8 eAxC streams, frames of one stream must be
-// handled in arrival order while distinct streams are free to interleave.
+// workers over 4 cores and 8 eAxC streams, frames of one stream must be
+// handled in arrival order while distinct streams are free to interleave,
+// and every admitted frame must come out. The per-frame row pauses inside
+// Handle and requires the workers to overlap; the burst rows run a
+// BurstApp with no pause across batch size × admission layout — what
+// catches a panic, a deadlock or a lost frame under parallel bursts.
 func TestShardFIFOOrdering(t *testing.T) {
 	const (
-		streams = 8
 		perFlow = 200
 		cores   = 4
+		total   = fifoStreams * perFlow
 	)
-	var (
-		seen     [streams][]int // written only by the owning shard
-		inflight atomic.Int32
-		maxConc  atomic.Int32
-	)
-	app := appFunc(func(ctx *Context, pkt *fh.Packet) error {
-		n := inflight.Add(1)
-		for {
-			m := maxConc.Load()
-			if n <= m || maxConc.CompareAndSwap(m, n) {
-				break
-			}
-		}
-		tim, err := pkt.Timing()
-		if err != nil {
-			return err
-		}
-		port := pkt.EAxC().RUPort
-		seen[port] = append(seen[port], int(tim.FrameID)*16+int(tim.SubframeID))
-		time.Sleep(20 * time.Microsecond) // widen the race window
-		inflight.Add(-1)
-		ctx.Forward(pkt)
-		return nil
-	})
-	s := sim.NewScheduler()
-	e, err := NewEngine(s, Config{Name: "mb", Mode: ModeDPDK, Cores: cores, App: app, CarrierPRBs: 106, RingSize: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tx atomic.Uint64
-	e.SetOutput(func([]byte) { tx.Add(1) })
-
 	// Pre-build all frames, interleaved round-robin across the streams.
-	frames := make([][]byte, 0, streams*perFlow)
-	builders := make([]*fh.Builder, streams)
+	frames := make([][]byte, 0, total)
+	builders := make([]*fh.Builder, fifoStreams)
 	for p := range builders {
 		builders[p] = fh.NewBuilder(duMAC, ruMAC, -1)
 	}
 	for seq := 0; seq < perFlow; seq++ {
-		for p := 0; p < streams; p++ {
+		for p := 0; p < fifoStreams; p++ {
 			frames = append(frames, seqFrame(t, builders[p], uint8(p), seq))
 		}
 	}
 
-	if err := e.Start(); err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range frames {
-		for !e.TryIngress(f) {
-			runtime.Gosched()
-		}
-	}
-	e.Stop()
-
-	st := e.Snapshot()
-	if st.RxFrames != streams*perFlow {
-		t.Fatalf("RxFrames = %d, want %d", st.RxFrames, streams*perFlow)
-	}
-	if tx.Load() != streams*perFlow {
-		t.Fatalf("tx = %d, want %d", tx.Load(), streams*perFlow)
-	}
-	for p := 0; p < streams; p++ {
-		if len(seen[p]) != perFlow {
-			t.Fatalf("stream %d: %d frames, want %d", p, len(seen[p]), perFlow)
-		}
-		for i, seq := range seen[p] {
-			if seq != i {
-				t.Fatalf("stream %d: position %d got seq %d — FIFO order violated", p, i, seq)
+	for _, r := range []struct {
+		name  string
+		batch int // 0: the per-frame App, paused, workers must overlap
+		ws    bool
+	}{
+		{"perframe/hash", 0, false},
+		{"burst=1/hash", 1, false}, {"burst=16/hash", 16, false}, {"burst=64/hash", 64, false},
+		{"burst=1/worksteal", 1, true}, {"burst=16/worksteal", 16, true}, {"burst=64/worksteal", 64, true},
+	} {
+		t.Run(r.name, func(t *testing.T) {
+			burst := &fifoBurstApp{}
+			fifo, app := &burst.fifoApp, App(burst)
+			if r.batch == 0 {
+				fifo.pause, app = 20*time.Microsecond, fifo
 			}
-		}
-	}
-	if maxConc.Load() < 2 {
-		t.Fatalf("max concurrency = %d, want >= 2 (workers never overlapped)", maxConc.Load())
+			s := sim.NewScheduler()
+			e, err := NewEngine(s, Config{Name: "mb", Mode: ModeDPDK, Cores: cores, App: app,
+				CarrierPRBs: 106, RingSize: 64,
+				Burst: BurstPolicy{Batch: r.batch}, Scale: ScalePolicy{WorkSteal: r.ws}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var tx atomic.Uint64
+			e.SetOutput(func([]byte) { tx.Add(1) })
+
+			if err := e.Start(); err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range frames {
+				for !e.TryIngress(f) {
+					runtime.Gosched()
+				}
+			}
+			e.Stop()
+
+			st := e.Snapshot()
+			if st.RxFrames != total || st.TxFrames != total || tx.Load() != total {
+				t.Fatalf("RxFrames = %d, TxFrames = %d, emitted = %d, want %d each", st.RxFrames, st.TxFrames, tx.Load(), total)
+			}
+			for p := 0; p < fifoStreams; p++ {
+				if len(fifo.seen[p]) != perFlow {
+					t.Fatalf("stream %d: %d frames, want %d", p, len(fifo.seen[p]), perFlow)
+				}
+				for i, seq := range fifo.seen[p] {
+					if seq != i {
+						t.Fatalf("stream %d: position %d got seq %d — FIFO order violated", p, i, seq)
+					}
+				}
+			}
+			if r.batch == 0 && fifo.maxConc.Load() < 2 {
+				t.Fatalf("max concurrency = %d, want >= 2 (workers never overlapped)", fifo.maxConc.Load())
+			}
+		})
 	}
 }
 
@@ -222,7 +264,9 @@ func TestIngressRingDrops(t *testing.T) {
 		return nil
 	})
 	s := sim.NewScheduler()
-	e, err := NewEngine(s, Config{Name: "mb", Mode: ModeDPDK, Cores: 1, App: app, CarrierPRBs: 106, RingSize: 2})
+	// Batch 1: the gated worker holds exactly one frame, not a drained burst.
+	e, err := NewEngine(s, Config{Name: "mb", Mode: ModeDPDK, Cores: 1, App: app, CarrierPRBs: 106, RingSize: 2,
+		Burst: BurstPolicy{Batch: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

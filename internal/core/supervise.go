@@ -22,7 +22,8 @@ import (
 //     and a per-app circuit breaker trips after PanicBudget panics —
 //     Open (passthrough only) → Half-Open (one probe) → Closed.
 //   - Shard watchdog: Engine.Supervise detects a worker stuck inside
-//     Handle past StallAfter via progress counters and performs a
+//     Handle for StallAfter of wall time (progress counters say which
+//     invocation, the monotonic clock says for how long) and performs a
 //     hitless shard restart — the wedged goroutine is abandoned, a
 //     fresh worker incarnation takes over the same ingress ring, and
 //     frames never popped keep their per-eAxC FIFO order.
@@ -53,10 +54,14 @@ type SupervisePolicy struct {
 	// rejected with ErrBadCooldown.
 	BreakerCooldown time.Duration
 	// StallAfter enables the shard watchdog when positive: a worker that
-	// has been inside one Handle/HandleBurst call for StallAfter of
-	// virtual time (as observed by Engine.Supervise polls) is declared
-	// Stalled and its shard is restarted hitlessly. 0 disables the
-	// watchdog; negative values are rejected with ErrBadStallAfter.
+	// has been inside one Handle/HandleBurst call for StallAfter (as
+	// observed by Engine.Supervise polls) is declared Stalled and its
+	// shard is restarted hitlessly. The watchdog exists only under Start,
+	// where workers are goroutines, so this is wall time on the monotonic
+	// clock — advancing the scheduler does not age an invocation. Set it
+	// above the longest healthy invocation plus the host's worst
+	// preemption. 0 disables the watchdog; negative values are rejected
+	// with ErrBadStallAfter.
 	StallAfter time.Duration
 	// ShedHighWater / ShedLowWater enable AIMD overload shedding when
 	// set: ring occupancy at or above the high water mark additively
@@ -232,12 +237,14 @@ func (sh *shard) shed(frame []byte) bool {
 // Call it periodically (e.g. from a sim.Ticker) on the producer/
 // scheduler goroutine — the same single-caller contract as Ingress. It
 // is a no-op in deterministic inline mode, where an App stall would
-// block the caller itself and the breaker thaws on the datapath.
+// block the caller itself and the breaker thaws on the datapath. The
+// breaker cooldown runs on virtual time, the stall deadline on
+// sim.Monotonic (see SupervisePolicy.StallAfter).
 func (e *Engine) Supervise() {
 	if !e.parallel {
 		return
 	}
-	now := e.sched.Now()
+	now, wall := e.sched.Now(), sim.Monotonic()
 	sup := e.cfg.Supervise
 	for _, sh := range e.shards {
 		if sup.PanicBudget > 0 {
@@ -246,20 +253,20 @@ func (e *Engine) Supervise() {
 		if sup.StallAfter <= 0 {
 			continue
 		}
-		// Progress counters, not timestamps: worker clocks are frozen in
-		// parallel mode, so "stuck" means the invocation counter advanced
-		// past the completion counter and stayed there across polls.
+		// The progress counters name the in-flight invocation (appSeq is
+		// never 0 while one is in flight, so 0 marks "nothing watched");
+		// wdSince is when a poll first saw it.
 		w := sh.w
 		seq, done := w.appSeq.Load(), w.appDone.Load()
 		if seq == done {
-			sh.wdSince = 0
+			sh.wdLastSeq = 0
 			continue
 		}
-		if seq != sh.wdLastSeq || sh.wdSince == 0 {
-			sh.wdLastSeq, sh.wdSince = seq, now
+		if seq != sh.wdLastSeq {
+			sh.wdLastSeq, sh.wdSince = seq, wall
 			continue
 		}
-		if now.Sub(sh.wdSince) >= sup.StallAfter {
+		if wall.Sub(sh.wdSince) >= sup.StallAfter {
 			e.restartShard(sh, now)
 		}
 	}
@@ -296,7 +303,7 @@ func (e *Engine) restartShard(sh *shard, now sim.Time) {
 		// The worker escaped the App between our poll and the lock; with
 		// the mutex held it cannot be inside the App now — not a stall.
 		sh.superMu.Unlock()
-		sh.wdSince = 0
+		sh.wdLastSeq = 0
 		return
 	}
 	sh.epoch.Add(1)
@@ -307,7 +314,7 @@ func (e *Engine) restartShard(sh *shard, now sim.Time) {
 	}
 	nw := newWorker(sh)
 	sh.w = nw
-	sh.wdLastSeq, sh.wdSince = 0, 0
+	sh.wdLastSeq = 0
 	sh.spawn(e.stopc)
 	sh.superMu.Unlock()
 }

@@ -403,12 +403,25 @@ func (a *wedgeApp) Handle(ctx *Context, pkt *fh.Packet) error {
 	return nil
 }
 
+// superviseUntilRestart polls e.Supervise at a quarter of stallAfter on
+// the wall clock — the clock the watchdog judges workers on — until a
+// shard restart is reported. The 5 s cap only ends a run that has already
+// failed; callers assert ShardRestarts themselves.
+func superviseUntilRestart(e *Engine, stallAfter time.Duration) {
+	for giveUp := time.Now().Add(5 * time.Second); e.Snapshot().ShardRestarts == 0 && time.Now().Before(giveUp); {
+		time.Sleep(stallAfter / 4)
+		e.Supervise()
+	}
+}
+
 // TestWatchdogRestartsStalledShard wedges one shard's worker inside
 // Handle and requires the supervisor to detect the stall, restart the
 // shard hitlessly, and keep per-eAxC FIFO order for the frames that were
 // still queued behind the wedge.
 func TestWatchdogRestartsStalledShard(t *testing.T) {
-	const stallAfter = time.Millisecond
+	// Wall clock, and wide enough that the driver being descheduled
+	// between the two back-to-back polls below cannot reach it.
+	const stallAfter = 50 * time.Millisecond
 	app := newWedgeApp(1)
 	s := sim.NewScheduler()
 	e, err := NewEngine(s, Config{Name: "mb", Mode: ModeDPDK, Cores: 2, App: app,
@@ -453,13 +466,19 @@ func TestWatchdogRestartsStalledShard(t *testing.T) {
 			runtime.Gosched()
 		}
 	}
+	// Virtual time alone does not age an invocation: the worker runs on
+	// wall time, and a driver that races ahead of it proves nothing.
+	s.RunFor(time.Hour)
+	e.Supervise()
+	s.RunFor(time.Hour)
+	e.Supervise()
+	if n := e.Snapshot().ShardRestarts; n != 0 {
+		t.Fatalf("ShardRestarts = %d after two virtual hours and no wall time, want 0", n)
+	}
 	// Supervision polls on the scheduler goroutine: within StallAfter
 	// plus one poll interval the stall is detected and the shard
 	// restarted.
-	for i := 0; i < 10 && e.Snapshot().ShardRestarts == 0; i++ {
-		s.RunFor(stallAfter)
-		e.Supervise()
-	}
+	superviseUntilRestart(e, stallAfter)
 	st := e.Snapshot()
 	if st.ShardRestarts != 1 {
 		t.Fatalf("ShardRestarts = %d, want 1", st.ShardRestarts)
@@ -513,10 +532,7 @@ func TestHealthMergeSupervision(t *testing.T) {
 		runtime.Gosched()
 	}
 	<-app.entered
-	for i := 0; i < 10 && e.Snapshot().ShardRestarts == 0; i++ {
-		s.RunFor(stallAfter)
-		e.Supervise()
-	}
+	superviseUntilRestart(e, stallAfter)
 	// One shard restarting (Stalled) while the other is Degraded: the
 	// engine reports the max.
 	if st := e.Snapshot(); st.ShardRestarts != 1 || st.Health != Stalled {

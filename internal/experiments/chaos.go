@@ -307,10 +307,11 @@ func chaosPanicIsolation(t *Table) {
 // chaosStallDetection: the App wedges forever on one call; the shard
 // watchdog must declare the stall and restart the shard within StallAfter
 // plus the poll granularity. Detection latency is measured from the first
-// supervision poll that observes the wedge to the poll that restarts.
+// supervision poll that observes the wedge to the poll that restarts, on
+// wall time like StallAfter itself, so the row reports only whether it
+// stayed under 2 x StallAfter — the one thing that repeats run to run.
 func chaosStallDetection(t *Table) {
-	for _, stallAfter := range []time.Duration{time.Millisecond, 2 * time.Millisecond, 5 * time.Millisecond} {
-		poll := stallAfter / 4
+	for _, stallAfter := range []time.Duration{20 * time.Millisecond, 50 * time.Millisecond, 100 * time.Millisecond} {
 		s := sim.NewScheduler()
 		app, stall := fault.StallFor(supForward{}, 40)
 		eng, err := core.NewEngine(s, core.Config{
@@ -327,18 +328,17 @@ func chaosStallDetection(t *Table) {
 		b := fh.NewBuilder(eth.MAC{2, 0, 0, 0, 0, 1}, eth.MAC{2, 0, 0, 0, 0, 2}, -1)
 		var tWedge, tRestart sim.Time
 		step := func() {
-			// Yield so the single-P runtime schedules the worker between
-			// virtual-time polls.
+			// Yield so a single-P runtime schedules the worker between
+			// polls.
 			for i := 0; i < 8; i++ {
 				runtime.Gosched()
 			}
-			s.RunFor(poll)
 			eng.Supervise()
 			if tWedge == 0 && stall.Stalled() {
-				tWedge = s.Now()
+				tWedge = sim.Monotonic()
 			}
 			if tRestart == 0 && eng.Snapshot().ShardRestarts > 0 {
-				tRestart = s.Now()
+				tRestart = sim.Monotonic()
 			}
 		}
 		for i := 0; i < 200; i++ {
@@ -348,22 +348,22 @@ func chaosStallDetection(t *Table) {
 			}
 			step()
 		}
-		for i := 0; i < 1000 && tRestart == 0; i++ {
+		for giveUp := sim.Monotonic().Add(100 * stallAfter); tRestart == 0 && sim.Monotonic() < giveUp; {
 			step()
 		}
 		stall.Release()
 		eng.Stop()
-		bound := stallAfter + 2*poll
+		name := fmt.Sprintf("stall watchdog (StallAfter %v wall)", stallAfter)
 		if tRestart == 0 {
-			t.AddRow(fmt.Sprintf("stall watchdog (StallAfter %v)", stallAfter),
-				"app wedges on call 40", "NO RESTART", "watchdog never tripped")
+			t.AddRow(name, "app wedges on call 40", "NO RESTART", "watchdog never tripped")
 			continue
 		}
-		t.AddRow(
-			fmt.Sprintf("stall watchdog (StallAfter %v)", stallAfter),
-			fmt.Sprintf("app wedges on call 40, poll %v", poll),
-			fmt.Sprintf("shard restarted %v after the wedge was observable", tRestart.Sub(tWedge)),
-			fmt.Sprintf("bound StallAfter + 2 polls = %v; restarts %d", bound, eng.Snapshot().ShardRestarts))
+		verdict := "shard restarted within bound"
+		if tRestart.Sub(tWedge) > 2*stallAfter {
+			verdict = "shard restarted LATE"
+		}
+		t.AddRow(name, "app wedges on call 40", verdict,
+			fmt.Sprintf("bound 2 x StallAfter = %v; restarts %d", 2*stallAfter, eng.Snapshot().ShardRestarts))
 	}
 }
 
@@ -423,5 +423,5 @@ func chaosShedAIMD(t *Table) {
 				fmt.Sprintf("occupancy offered %.2f of ring; C-plane never shed", float64(offered)/ring))
 		}
 	}
-	t.Note("supervision scenarios (panic, stall, shed) are deterministic by construction: fixed injector schedules, virtual-time polls")
+	t.Note("supervision scenarios (panic, stall, shed) are deterministic by construction: fixed injector schedules, virtual-time polls — except the watchdog deadline, which is wall time and reported only as met or missed")
 }

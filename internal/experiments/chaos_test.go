@@ -25,8 +25,8 @@ func TestSuperviseScenarios(t *testing.T) {
 				t.Errorf("%s: %q — isolation lost frames", row[0], row[2])
 			}
 		case strings.HasPrefix(row[0], "stall watchdog"):
-			if row[2] == "NO RESTART" {
-				t.Errorf("%s: watchdog never restarted the shard", row[0])
+			if row[2] != "shard restarted within bound" || !strings.HasSuffix(row[3], "restarts 1") {
+				t.Errorf("%s: %q (%s), want one restart within bound", row[0], row[2], row[3])
 			}
 		case strings.HasPrefix(row[0], "overload shedding"):
 			// The 96-frame offered load sits below every watermark: both

@@ -12,12 +12,12 @@ func init() {
 	register("metro", runMetroScale)
 }
 
-// runMetroScale renders the BENCH_8 metro-scale axis on the deterministic
-// clock: streams × shards × chain-depth scenario points with per-frame
-// sojourn percentiles and the end-to-end loss rate read from the engines'
-// telemetry. The virtual-time numbers are seed-stable, so the table
-// regenerates identically on every host (the wall-clock skew comparison
-// lives in cmd/benchreg's BENCH_8.json instead).
+// runMetroScale renders the metro-scale axis on the deterministic clock:
+// streams × shards × chain-depth scenario points with per-frame sojourn
+// percentiles and the end-to-end loss rate read from the engines'
+// telemetry. The numbers are cost-model virtual time, not measured wall
+// time, and seed-stable, so the table regenerates identically on every
+// host.
 func runMetroScale() *Table {
 	t := &Table{
 		ID:      "metro",

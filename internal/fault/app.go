@@ -146,7 +146,8 @@ func (s *Stall) Release() {
 // ticker watches for the stall to fire and, once it has, schedules
 // Release after d more virtual time. This is how a chaos run expresses
 // "the app wedges for d" without wall-clock sleeps. The returned stop
-// function cancels the ticker.
+// function cancels the ticker. d does not order against the shard
+// watchdog's deadline, which is wall time.
 func (s *Stall) Arm(sched *sim.Scheduler, d, poll time.Duration) (stop func()) {
 	scheduled := false
 	return sched.Ticker(poll, func() {

@@ -213,6 +213,17 @@ type frozenClock Time
 
 func (c frozenClock) Now() Time { return Time(c) }
 
+// monotonicEpoch is the origin of Monotonic; time.Since on it reads the
+// runtime's monotonic clock, immune to wall-clock steps.
+var monotonicEpoch = time.Now()
+
+// Monotonic returns the process's monotonic wall-clock reading, in
+// nanoseconds since start-up. It is NOT virtual time and never feeds the
+// seeded datapath: it times goroutines that run on wall time (the parallel
+// engine's shard workers), for which elapsed scheduler time means nothing.
+// Values compare only with other Monotonic readings.
+func Monotonic() Time { return Time(time.Since(monotonicEpoch)) }
+
 // Ticker invokes fn every period until the returned stop function is called.
 // The first invocation happens one period from now.
 func (s *Scheduler) Ticker(period Duration, fn func()) (stop func()) {

@@ -8,6 +8,7 @@ import (
 	"ranbooster/internal/core"
 	"ranbooster/internal/fault"
 	"ranbooster/internal/sim"
+	"ranbooster/internal/telemetry"
 )
 
 // soakSlots is the metro soak length: the full run is what `make soak`
@@ -156,8 +157,9 @@ func TestMetroChainFaultDeterminism(t *testing.T) {
 
 // TestMetroScaleCompletes runs the acceptance-scale scenario — 256 RUs,
 // 1024 eAxC streams, chain depth 3 — to completion with work-stealing
-// engines and bounded goroutines, verifying the conservation ledger and
-// that every stream makes it through all three hops.
+// engines and bounded goroutines, verifying the conservation ledger,
+// that every stream makes it through all three hops, and that the span
+// collectors on every hop report populated, ordered sojourn percentiles.
 func TestMetroScaleCompletes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("metro acceptance scale skipped in short mode")
@@ -168,6 +170,7 @@ func TestMetroScaleCompletes(t *testing.T) {
 		ChainDepth:  3,
 		Cores:       4,
 		Scale:       core.ScalePolicy{WorkSteal: true},
+		Trace:       true,
 		MeanPerSlot: 0.5,
 		Seed:        3,
 	})
@@ -190,6 +193,17 @@ func TestMetroScaleCompletes(t *testing.T) {
 	}
 	if sink.Gaps != 0 || sink.Duplicates != 0 || sink.Reordered != 0 {
 		t.Fatalf("FIFO violated at scale: %+v", sink)
+	}
+	var tr telemetry.TraceStats
+	for _, e := range m.Engines {
+		if st := e.Snapshot(); st.Trace != nil {
+			tr = tr.Merge(*st.Trace)
+		}
+	}
+	p50, _ := tr.Stage[telemetry.StageTotal].Quantile(0.50)
+	p99, _ := tr.Stage[telemetry.StageTotal].Quantile(0.99)
+	if p50 <= 0 || p99 < p50 {
+		t.Fatalf("sojourn percentiles malformed: p50 %v, p99 %v", p50, p99)
 	}
 	if after := goroutines(); after > before {
 		t.Fatalf("goroutines leaked: %d before, %d after", before, after)
