@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet ranvet lint test race short chaos chaos-supervise soak scale-smoke bench ranbench-selftest fuzz check
+.PHONY: all build vet ranvet loc lint test race short chaos chaos-supervise soak scale-smoke bench ranbench-selftest fuzz check
 
 all: check
 
@@ -19,6 +19,15 @@ vet:
 # suppressions. See internal/analysis and DESIGN.md §6.4 / §6.9.
 ranvet:
 	$(GO) run ./cmd/ranvet ./...
+
+# loc prints the three size figures ROADMAP tracks for the engine and its
+# checker, always counted the same way: non-test lines (wc -l over *.go
+# minus *_test.go, top level of the package) and in-source waivers. It
+# reports; nothing gates on it.
+loc:
+	@echo "internal/core non-test lines:      $$(ls internal/core/*.go | grep -v _test.go | xargs cat | wc -l)"
+	@echo "internal/analysis non-test lines:  $$(ls internal/analysis/*.go | grep -v _test.go | xargs cat | wc -l)"
+	@echo "//ranvet:allow outside the analyzers: $$(grep -r '//ranvet:allow' --include='*.go' . | grep -vc '^./internal/analysis')"
 
 # lint = vet + ranvet, plus govulncheck and golangci-lint when installed
 # (CI installs them; local runs skip what's missing rather than fail).

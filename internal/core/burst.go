@@ -74,9 +74,11 @@ func (p BurstPolicy) validate() error {
 // one call instead of len(pkts) Handle calls, amortizing per-invocation
 // overhead (context setup, synchronization, batched service work).
 //
-// The engine detects the interface at construction. Apps that do not
-// implement it keep the exact per-frame Handle contract — the engine's
-// internal adapter invokes Handle once per frame of the burst.
+// The engine detects the interface at construction and flushes a burst's
+// userspace frames in invocation groups through one code path: the whole
+// burst is one group for a BurstApp, each frame is its own group for an
+// App that does not implement it — which therefore keeps the exact
+// per-frame Handle contract.
 //
 // # Contract
 //

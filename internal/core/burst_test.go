@@ -124,7 +124,7 @@ func TestBurstAppReceivesWholeBurst(t *testing.T) {
 }
 
 func TestBurstAdapterFallsBackPerFrame(t *testing.T) {
-	app := &forwarder{} // no HandleBurst: the adapter loop must call Handle per frame
+	app := &forwarder{} // no HandleBurst: the flush must call Handle on groups of one frame
 	s := sim.NewScheduler()
 	e, err := NewEngine(s, Config{Name: "mb", Mode: ModeDPDK, App: app, CarrierPRBs: 106,
 		Burst: BurstPolicy{Batch: 16}})

@@ -255,8 +255,8 @@ type Engine struct {
 	ws     *wsPool
 	serial bool
 	// burst is the App's burst-aware extension when it implements
-	// BurstApp, nil otherwise (the shard's flush loop then adapts bursts
-	// to per-frame Handle calls).
+	// BurstApp, nil otherwise (the flush then invokes Handle on groups of
+	// one frame).
 	burst BurstApp
 
 	// parallel is true while Start'ed workers run. It is written only

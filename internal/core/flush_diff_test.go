@@ -54,12 +54,9 @@ func diffHandle(ctx *Context, pkt *fh.Packet) error {
 	return nil
 }
 
-type diffFrameApp struct{}
-
-func (diffFrameApp) Name() string                              { return "diff" }
-func (diffFrameApp) Handle(ctx *Context, pkt *fh.Packet) error { return diffHandle(ctx, pkt) }
-
-type diffBurstApp struct{ diffFrameApp }
+// diffBurstApp is the handler's BurstApp shape; appFunc(diffHandle) is its
+// per-frame shape.
+type diffBurstApp struct{ appFunc }
 
 func (a diffBurstApp) HandleBurst(ctx *Context, pkts []*fh.Packet) error {
 	for _, pkt := range pkts {
@@ -225,7 +222,7 @@ func TestFlushDifferential(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				frameCfg, burstCfg := sup.cfg, sup.cfg
-				frameCfg.App, burstCfg.App = diffFrameApp{}, diffBurstApp{}
+				frameCfg.App, burstCfg.App = appFunc(diffHandle), diffBurstApp{diffHandle}
 				if batch == 0 {
 					frameCfg.Cores, burstCfg.Cores = 2, 2
 				}

@@ -1,0 +1,30 @@
+package core
+
+import (
+	"fmt"
+	"os"
+	"runtime"
+	"runtime/pprof"
+	"testing"
+	"time"
+)
+
+// TestMain holds the package to the watchdog's contract: a worker the
+// supervisor abandoned exits once its wedged App call returns, so a test
+// that wedges one must release it. After the run the goroutine count must
+// come back to where it started; 2 s covers an abandoned worker still on
+// its way out.
+func TestMain(m *testing.M) {
+	before := runtime.NumGoroutine()
+	code := m.Run()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before && code == 0 {
+		fmt.Fprintf(os.Stderr, "goroutine leak: %d goroutines after the run, %d before\n", n, before)
+		_ = pprof.Lookup("goroutine").WriteTo(os.Stderr, 2) // diagnostics only
+		code = 1
+	}
+	os.Exit(code)
+}

@@ -28,7 +28,7 @@ import (
 //     on the caller's goroutine. Under the discrete-event scheduler this
 //     reproduces the seed semantics exactly — virtual-time parallelism
 //     across cores, bit-identical runs. Inline drains always see bursts of
-//     one frame, so burst amortization degenerates to the per-frame path.
+//     one frame, so every invocation group is a single frame.
 //   - parallel (Start/Stop): one worker goroutine per shard drains its
 //     ring in bursts of up to BurstPolicy.Batch frames per poll, for real
 //     wall-clock parallelism. Virtual time is frozen while workers run.
@@ -37,10 +37,11 @@ import (
 // decodes each dequeued frame into the shard's pooled packet scratch and
 // lets the kernel program retire A1/A2-only frames on the spot; frames
 // bound for userspace are parked on the pend list. flushApp then delivers
-// the parked frames — one HandleBurst call for a BurstApp, or per-frame
-// Handle calls through the adapter loop — and a retired frame always
-// flushes the parked frames first, so kernel completions never overtake
-// userspace completions and per-stream FIFO order survives mixed verdicts.
+// the parked frames in invocation groups — the whole list in one
+// HandleBurst call for a BurstApp, one frame per Handle call otherwise —
+// through a single flushGroup/invoke, and a retired frame always flushes
+// the parked frames first, so kernel completions never overtake userspace
+// completions and per-stream FIFO order survives mixed verdicts.
 
 // ring is a bounded single-producer/single-consumer frame queue — the
 // software equivalent of a per-core NIC RX descriptor ring. push is safe
@@ -338,8 +339,11 @@ type worker struct {
 	// the kernel/app decode scratch, slot 1 the re-encode staging message;
 	// handed to apps via Context.UPlaneScratch.
 	msgs [2]oran.UPlaneMsg
-	// burstPkts is the packet vector handed to a BurstApp (app-reachable,
-	// hence per-incarnation), resliced per burst, never grown.
+	// burstPkts is the packet vector of the invocation group in flight,
+	// resliced per group, never grown. It is what the App is handed and
+	// all the flush reads of the group while the supervision window is
+	// open — hence per-incarnation: a restart resets the shard's pend
+	// list under a preempted worker, never this.
 	burstPkts []*fh.Packet
 }
 
@@ -525,13 +529,14 @@ func (sh *shard) wakeUp() {
 // drain is the shard-level entry into the current worker incarnation's
 // drain loop — the deterministic inline path (and whitebox tests) go
 // through here; parallel workers call their own incarnation directly.
-func (sh *shard) drain(max int) int { return sh.w.drain(max) }
+func (sh *shard) drain(max int) int { return sh.w.drainRing(sh.in, max) }
 
-// drain processes up to max queued frames in bursts and reports how many
+// drainRing is the one consumer loop over an ingress ring — the shard's
+// own in the hash layout, a claimed stream's under work stealing: it
+// processes up to max queued frames of r in bursts and reports how many
 // ran. In deterministic mode the ring holds at most the frame Ingress
-// just admitted, so every burst is a single frame and the burst path is
-// semantically the per-frame path.
-func (w *worker) drain(max int) int {
+// just admitted, so every burst is a single frame.
+func (w *worker) drainRing(r *ring, max int) int {
 	sh := w.sh
 	total := 0
 	for total < max {
@@ -539,8 +544,8 @@ func (w *worker) drain(max int) int {
 		if want > len(sh.burstFrames) {
 			want = len(sh.burstFrames)
 		}
-		//ranvet:allow spscsingle mode-exclusive: the producer reaches drain only through the deterministic inline path, where workers are never spawned
-		n := sh.in.popN(sh.burstFrames[:want], sh.burstTs[:want])
+		//ranvet:allow spscsingle mode-exclusive: the producer goroutine reaches drainRing only through the deterministic inline drains (shard.drain, drainStream), which run only while no worker is spawned
+		n := r.popN(sh.burstFrames[:want], sh.burstTs[:want])
 		if n == 0 {
 			break
 		}
@@ -569,7 +574,7 @@ func (w *worker) run(stop <-chan struct{}) {
 	maxIdle := w.eng.cfg.Burst.MaxIdlePolls
 	idle := 0
 	for {
-		if w.drain(batch) > 0 {
+		if w.drainRing(w.sh.in, batch) > 0 {
 			idle = 0
 			continue
 		}
@@ -584,7 +589,7 @@ func (w *worker) run(stop <-chan struct{}) {
 			w.resumeGuard()
 		case <-stop:
 			w.resumeGuard()
-			for w.drain(batch) > 0 {
+			for w.drainRing(w.sh.in, batch) > 0 {
 			}
 			return
 		}
@@ -613,35 +618,26 @@ func (w *worker) retire() {
 	}
 }
 
-// appEnter opens an App-invocation window: progress is published for the
-// watchdog and the supervision guard is released so a restart can claim
-// the shard if this invocation never returns.
+// appEnter opens a guarded worker's App-invocation window: progress is
+// published for the watchdog and the supervision guard is released so a
+// restart can claim the shard if this invocation never returns.
 func (w *worker) appEnter() {
-	if !w.guarded {
-		return
-	}
 	w.appSeq.Add(1)
-	w.sh.superMu.Unlock()
+	w.pauseGuard()
 }
 
-// appExit closes the window: the guard is re-acquired, and if the shard
-// moved to a new epoch while the App ran, this incarnation is abandoned
-// and unwinds via errShardRetired.
+// appExit closes the window: the guard is re-acquired — if the shard moved
+// to a new epoch while the App ran, this incarnation is abandoned and
+// unwinds via errShardRetired — and the invocation is published as done.
 func (w *worker) appExit() {
-	if !w.guarded {
-		return
-	}
-	w.sh.superMu.Lock()
-	if w.sh.epoch.Load() != w.epoch {
-		w.sh.superMu.Unlock()
-		panic(errShardRetired)
-	}
+	w.resumeGuard()
 	w.appDone.Add(1)
 }
 
-// pauseGuard / resumeGuard bracket the idle block the same way appEnter/
-// appExit bracket App invocations (without touching the progress
-// counters — an idle worker is not stuck).
+// pauseGuard / resumeGuard release and re-acquire the supervision guard
+// around the two windows a restart may interleave: App invocations
+// (appEnter/appExit) and the idle block, which leaves the progress
+// counters alone — an idle worker is not stuck.
 func (w *worker) pauseGuard() {
 	if w.guarded {
 		w.sh.superMu.Unlock()
@@ -796,20 +792,27 @@ func (sh *shard) chargeStart(arrival sim.Time, decode time.Duration) (sim.Time, 
 	return start, decode
 }
 
-// flushApp delivers the burst's parked userspace frames: one HandleBurst
-// call when the App is burst-aware, otherwise per-frame Handle calls
-// through the adapter loop. Charging happens here, in frame order, so the
-// virtual-time accounting is identical to the pre-burst per-frame path.
-// The pend list is empty between bursts and after any kernel completion.
+// flushApp delivers the burst's parked userspace frames. The pend list is
+// empty between bursts and after any kernel completion, and every kernel-
+// retired frame asks, so this is only the guard: it must stay inlinable.
 func (w *worker) flushApp() {
-	sh := w.sh
-	if len(sh.pend) == 0 {
-		return
+	if len(w.sh.pend) != 0 {
+		w.flushPend()
 	}
+}
+
+// flushPend walks the pend list in invocation groups — the whole list for
+// a BurstApp, one frame at a time otherwise — so a plain App keeps the
+// per-frame contract: a Context, a charge, an error count and a breaker
+// check per frame, in frame order.
+func (w *worker) flushPend() {
+	sh := w.sh
 	if w.eng.burst != nil {
-		w.flushBurst()
+		w.flushGroup(sh.pend)
 	} else {
-		w.flushEach()
+		for i := range sh.pend {
+			w.flushGroup(sh.pend[i : i+1])
+		}
 	}
 	for i := range sh.pend {
 		sh.pend[i].pkt = nil
@@ -817,36 +820,99 @@ func (w *worker) flushApp() {
 	sh.pend = sh.pend[:0]
 }
 
-// invoke runs one guarded, recovered Handle call: the supervision window
-// opens around the invocation and any App panic is caught and reported
-// instead of unwinding the worker.
-func (w *worker) invoke(ctx *Context, pkt *fh.Packet) (err error, panicked bool) {
-	w.appEnter()
-	err, panicked = w.protectedHandle(ctx, pkt)
-	w.appExit()
+// flushGroup runs one App invocation over a group of parked frames. The
+// group shares one Context; its app-stage cost and action attribution are
+// split equally across its frames for latency samples and spans. A handler
+// error drops the whole group (len(g) app errors; a BurstApp reports
+// per-packet failures through Context.PacketError instead). With panic
+// isolation on, a panic quarantines the whole group — the engine cannot
+// know which packet poisoned it — and so does an open breaker.
+//
+// The packets are copied into the incarnation's own vector first: from
+// appEnter to appExit a restart may reset the pend list g points into, so
+// g is not read again until invoke has returned.
+func (w *worker) flushGroup(g []pendFrame) {
+	sh := w.sh
+	start, decode0 := sh.chargeStart(g[0].arrival, g[0].decode)
+	g[0].decode = decode0
+	var base time.Duration
+	for i := range g {
+		base += g[i].decode + g[i].kernel
+	}
+	if w.isolate && !w.breakerAdmits() {
+		w.quarantine(g, start, base)
+		return
+	}
+	// pend never outgrows one burst, so the pre-sized packet vector is
+	// resliced, not grown.
+	pkts := w.burstPkts[:len(g)]
+	for i := range g {
+		pkts[i] = g[i].pkt
+	}
+	ctx := &w.ctx
+	*ctx = Context{w: w, now: g[0].arrival, cost: base, emits: ctx.emits[:0]}
+	err, panicked := w.invoke(ctx, pkts)
+	clear(pkts)
+	if panicked {
+		w.notePanic()
+		w.quarantine(g, start, base)
+		return
+	}
+	if w.isolate {
+		w.noteAppOK()
+	}
+	fin := sh.core.Charge(start, ctx.cost)
+	n := time.Duration(len(g))
+	share := (ctx.cost - base) / n
+	var shareCost [telemetry.NumActions]time.Duration
+	if sh.tracer != nil {
+		for a := range ctx.actCost {
+			shareCost[a] = ctx.actCost[a] / n
+		}
+	}
+	if err != nil {
+		sh.stats.appErrors.Add(uint64(len(g)))
+	}
+	for i := range g {
+		p := &g[i]
+		if err == nil {
+			sh.recordLatency(p.class, p.decode+p.kernel+share)
+		}
+		sh.stampSpan(p.pkt, p.class, p.enq, start, fin, p.decode, p.kernel, share, ctx.actions, &shareCost)
+	}
+	if err == nil {
+		sh.emitAll(ctx.emits, fin)
+	}
+}
+
+// invoke is the one place the engine calls into the App. When the watchdog
+// guards this worker the supervision window opens around the call; appExit
+// stays outside the recover boundary so the retirement sentinel is never
+// mistaken for an App panic.
+func (w *worker) invoke(ctx *Context, pkts []*fh.Packet) (err error, panicked bool) {
+	if w.guarded {
+		w.appEnter()
+	}
+	err, panicked = w.callApp(ctx, pkts)
+	if w.guarded {
+		w.appExit()
+	}
 	return err, panicked
 }
 
-// protectedHandle is the recover boundary for per-frame isolation. The
-// deferred catchPanic is a plain function call with a stack-resident
-// pointer argument, so the quarantine machinery adds no allocation to
-// the hot path.
-func (w *worker) protectedHandle(ctx *Context, pkt *fh.Packet) (err error, panicked bool) {
-	defer catchPanic(&panicked)
-	return w.eng.cfg.App.Handle(ctx, pkt), false
-}
-
-// invokeBurst is invoke for HandleBurst.
-func (w *worker) invokeBurst(ctx *Context, pkts []*fh.Packet) (err error, panicked bool) {
-	w.appEnter()
-	err, panicked = w.protectedHandleBurst(ctx, pkts)
-	w.appExit()
-	return err, panicked
-}
-
-func (w *worker) protectedHandleBurst(ctx *Context, pkts []*fh.Packet) (err error, panicked bool) {
-	defer catchPanic(&panicked)
-	return w.eng.burst.HandleBurst(ctx, pkts), false
+// callApp dispatches the group to HandleBurst or, for a plain App (whose
+// groups are single frames), to Handle. With panic isolation on it is the
+// recover boundary: the deferred catchPanic is a plain function call with
+// a stack-resident pointer argument, so the quarantine machinery adds no
+// allocation to the hot path.
+func (w *worker) callApp(ctx *Context, pkts []*fh.Packet) (err error, panicked bool) {
+	if w.isolate {
+		defer catchPanic(&panicked)
+	}
+	if b := w.eng.burst; b != nil {
+		return b.HandleBurst(ctx, pkts), false
+	}
+	return w.eng.cfg.App.Handle(ctx, pkts[0]), false
 }
 
 // catchPanic converts a panic into a flag. It must be the directly
@@ -910,164 +976,21 @@ func (w *worker) publishBreaker(s BreakerState) {
 	w.eng.bus.Publish(telemetry.Sample{Name: KPIBreaker, At: w.sh.now(), Value: float64(s)})
 }
 
-// quarantine fails one parked frame to the wire: the packet is forwarded
-// raw, untouched by the App — the transparent bump-in-the-wire keeps the
-// cell alive even when its workload is misbehaving. The caller has
-// already resolved the frame's charge start and decode cost.
-func (w *worker) quarantine(p *pendFrame, start sim.Time, decode time.Duration) {
+// quarantine fails a group of parked frames to the wire: the packets are
+// forwarded raw, untouched by the App — the transparent bump-in-the-wire
+// keeps the cell alive even when its workload is misbehaving. The group's
+// service start was already acquired; its base work plus one forward per
+// frame is charged, and every packet leaves at that instant.
+func (w *worker) quarantine(g []pendFrame, start sim.Time, base time.Duration) {
 	sh := w.sh
-	fin := sh.core.Charge(start, decode+p.kernel+cpu.CostForward)
-	sh.stats.quarantined.Add(1)
-	sh.stampSpan(p.pkt, p.class, p.enq, start, fin, decode, p.kernel, 0, 0, nil)
-	sh.passthrough[0] = p.pkt
-	sh.emitAll(sh.passthrough[:], fin)
-}
-
-// quarantinePend quarantines every parked frame (breaker open, or a
-// HandleBurst panic poisoned the whole burst).
-func (w *worker) quarantinePend() {
-	sh := w.sh
-	for i := range sh.pend {
-		p := &sh.pend[i]
-		start, decode := sh.chargeStart(p.arrival, p.decode)
-		w.quarantine(p, start, decode)
+	fin := sh.core.Charge(start, base+time.Duration(len(g))*cpu.CostForward)
+	sh.stats.quarantined.Add(uint64(len(g)))
+	for i := range g {
+		p := &g[i]
+		sh.stampSpan(p.pkt, p.class, p.enq, start, fin, p.decode, p.kernel, 0, 0, nil)
+		sh.passthrough[0] = p.pkt
+		sh.emitAll(sh.passthrough[:], fin)
 	}
-}
-
-// flushEach is the per-frame adapter: Apps without HandleBurst keep the
-// exact pre-burst Handle contract — a Context per frame, per-frame error
-// accounting, per-frame emission. With panic isolation on, each Handle
-// runs recovered: a panicking frame is quarantined to passthrough and
-// the rest of the burst proceeds (unless the breaker opened).
-func (w *worker) flushEach() {
-	sh := w.sh
-	e := w.eng
-	for i := range sh.pend {
-		p := &sh.pend[i]
-		start, decode := sh.chargeStart(p.arrival, p.decode)
-		base := decode + p.kernel
-		ctx := &w.ctx
-		*ctx = Context{w: w, now: p.arrival, cost: base, emits: ctx.emits[:0]}
-		var err error
-		switch {
-		case w.isolate:
-			if !w.breakerAdmits() {
-				w.quarantine(p, start, decode)
-				continue
-			}
-			var panicked bool
-			err, panicked = w.invoke(ctx, p.pkt)
-			if panicked {
-				w.notePanic()
-				w.quarantine(p, start, decode)
-				continue
-			}
-			w.noteAppOK()
-		case w.guarded:
-			w.appEnter()
-			err = e.cfg.App.Handle(ctx, p.pkt)
-			w.appExit()
-		default:
-			err = e.cfg.App.Handle(ctx, p.pkt)
-		}
-		if err != nil {
-			sh.stats.appErrors.Add(1)
-			fin := sh.core.Charge(start, ctx.cost)
-			sh.stampSpan(p.pkt, p.class, p.enq, start, fin, decode, p.kernel, ctx.cost-base, ctx.actions, &ctx.actCost)
-			continue
-		}
-		fin := sh.core.Charge(start, ctx.cost)
-		sh.recordLatency(p.class, ctx.cost)
-		sh.stampSpan(p.pkt, p.class, p.enq, start, fin, decode, p.kernel, ctx.cost-base, ctx.actions, &ctx.actCost)
-		sh.emitAll(ctx.emits, fin)
-	}
-}
-
-// flushBurst hands the parked frames to the App's HandleBurst in one call.
-// The burst shares one Context; its app-stage cost and action attribution
-// are amortized equally across the burst's frames for latency samples and
-// spans. A handler error drops the whole burst (len(pend) app errors);
-// per-packet failures should use Context.PacketError instead. With panic
-// isolation on, a HandleBurst panic quarantines the whole burst to
-// passthrough — the engine cannot know which packet poisoned it.
-func (w *worker) flushBurst() {
-	sh := w.sh
-	if w.isolate && !w.breakerAdmits() {
-		w.quarantinePend()
-		return
-	}
-	// pend never outgrows one burst, so the pre-sized packet vector is
-	// resliced, not grown.
-	n := len(sh.pend)
-	pkts := w.burstPkts[:n]
-	var base time.Duration
-	start, decode0 := sh.chargeStart(sh.pend[0].arrival, sh.pend[0].decode)
-	sh.pend[0].decode = decode0
-	for i := range sh.pend {
-		p := &sh.pend[i]
-		base += p.decode + p.kernel
-		pkts[i] = p.pkt
-	}
-	ctx := &w.ctx
-	*ctx = Context{w: w, now: sh.pend[0].arrival, cost: base, emits: ctx.emits[:0]}
-	var err error
-	switch {
-	case w.isolate:
-		var panicked bool
-		err, panicked = w.invokeBurst(ctx, pkts)
-		if panicked {
-			w.notePanic()
-			// The burst's service start was already acquired; charge the
-			// base work plus one forward per quarantined frame, then fail
-			// every packet to the wire at that instant.
-			fin := sh.core.Charge(start, base+time.Duration(n)*cpu.CostForward)
-			sh.stats.quarantined.Add(uint64(n))
-			for i := range sh.pend {
-				p := &sh.pend[i]
-				sh.stampSpan(p.pkt, p.class, p.enq, start, fin, p.decode, p.kernel, 0, 0, nil)
-				sh.passthrough[0] = p.pkt
-				sh.emitAll(sh.passthrough[:], fin)
-			}
-			for i := range pkts {
-				pkts[i] = nil
-			}
-			w.burstPkts = pkts[:0]
-			return
-		}
-		w.noteAppOK()
-	case w.guarded:
-		w.appEnter()
-		err = w.eng.burst.HandleBurst(ctx, pkts)
-		w.appExit()
-	default:
-		err = w.eng.burst.HandleBurst(ctx, pkts)
-	}
-	fin := sh.core.Charge(start, ctx.cost)
-	share := (ctx.cost - base) / time.Duration(n)
-	var shareCost [telemetry.NumActions]time.Duration
-	if sh.tracer != nil {
-		for a := range ctx.actCost {
-			shareCost[a] = ctx.actCost[a] / time.Duration(n)
-		}
-	}
-	if err != nil {
-		sh.stats.appErrors.Add(uint64(n))
-		for i := range sh.pend {
-			p := &sh.pend[i]
-			sh.stampSpan(p.pkt, p.class, p.enq, start, fin, p.decode, p.kernel, share, ctx.actions, &shareCost)
-		}
-	} else {
-		for i := range sh.pend {
-			p := &sh.pend[i]
-			sh.recordLatency(p.class, p.decode+p.kernel+share)
-			sh.stampSpan(p.pkt, p.class, p.enq, start, fin, p.decode, p.kernel, share, ctx.actions, &shareCost)
-		}
-		sh.emitAll(ctx.emits, fin)
-	}
-	for i := range pkts {
-		pkts[i] = nil
-	}
-	w.burstPkts = pkts[:0]
 }
 
 // stampSpan collects one frame's span into the burst's span buffer when

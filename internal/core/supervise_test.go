@@ -506,6 +506,74 @@ func TestWatchdogRestartsStalledShard(t *testing.T) {
 	}
 }
 
+// TestRestartRacesPreemptedWorker restarts a shard over workers that are
+// merely preempted, not wedged: a per-frame App that yields inside Handle
+// under a 1 ns watchdog is restarted every other poll while the old
+// incarnation is still on its way back from the App. Between appEnter and
+// appExit an incarnation may touch only what it owns — under -race this
+// fails if the flush reads the shard's pend list there, which a restart
+// resets. Whatever the restarts abandon, every emitted frame must be one
+// that was offered, and each eAxC's emissions must stay in offered order.
+func TestRestartRacesPreemptedWorker(t *testing.T) {
+	const (
+		ports  = 5 // 4000 frames each: seqFrame's numbering is unique below 4096
+		frames = 20000
+	)
+	app := appFunc(func(ctx *Context, pkt *fh.Packet) error {
+		runtime.Gosched()
+		ctx.Forward(pkt)
+		return nil
+	})
+	s := sim.NewScheduler()
+	e, err := NewEngine(s, Config{Name: "mb", Mode: ModeDPDK, Cores: 1, App: app,
+		CarrierPRBs: 106, RingSize: 256, Supervise: SupervisePolicy{StallAfter: time.Nanosecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var outMu sync.Mutex
+	var out [][]byte
+	e.SetOutput(func(f []byte) {
+		outMu.Lock()
+		out = append(out, f)
+		outMu.Unlock()
+	})
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+	b := fh.NewBuilder(duMAC, ruMAC, -1)
+	var offered [ports][][]byte
+	for i := 0; i < frames; i++ {
+		port := i % ports
+		f := seqFrame(t, b, uint8(port), len(offered[port]))
+		offered[port] = append(offered[port], f)
+		for !e.TryIngress(f) {
+			e.Supervise()
+			runtime.Gosched()
+		}
+		e.Supervise()
+	}
+	e.Stop()
+	if e.Snapshot().ShardRestarts == 0 {
+		t.Fatal("no restart happened: the probe exercised nothing")
+	}
+	var next [ports]int // per port: the first offered index not yet passed
+	for _, f := range out {
+		var p fh.Packet
+		if err := p.Decode(f); err != nil {
+			t.Fatalf("emitted frame does not decode: %v", err)
+		}
+		port := p.EAxC().RUPort
+		i := next[port]
+		for i < len(offered[port]) && !bytes.Equal(offered[port][i], f) {
+			i++ // abandoned with a retired incarnation
+		}
+		if i == len(offered[port]) {
+			t.Fatalf("port %d: emission is not an offered frame at or after position %d — forged, duplicated or reordered", port, next[port])
+		}
+		next[port] = i + 1
+	}
+}
+
 // TestHealthMergeSupervision: a shard restart reports Stalled, merges
 // max-wise with another shard's Degraded through Snapshot, and steps
 // back down over clean health windows.

@@ -284,7 +284,7 @@ func (e *Engine) wsIngress(frame []byte, account bool) bool {
 		// Deterministic inline mode: drain the stream on the spot through
 		// its home worker — the state machine never engages, seeded runs
 		// replay bit-identically.
-		home.w.drainStream(sq)
+		home.w.drainStream(sq, len(sq.in.buf))
 		return true
 	}
 	if sq.state.CompareAndSwap(wsIdle, wsQueued) {
@@ -398,21 +398,14 @@ func (w *worker) runWS(stop <-chan struct{}) {
 	}
 }
 
-// runStream drains one burst from a claimed stream through the ordinary
-// burst pipeline, with the stream's private seq map and A3 cache swapped
-// in, then releases the claim: a stream with leftover backlog goes back
-// on this worker's deque; an empty one parks idle, with the
-// re-check-and-republish step that closes the producer race (see the
+// runStream drains up to one batch from a claimed stream through the
+// ordinary burst pipeline, then releases the claim: a stream with leftover
+// backlog goes back on this worker's deque; an empty one parks idle, with
+// the re-check-and-republish step that closes the producer race (see the
 // FIFO argument at the top of the file).
 func (w *worker) runStream(sq *streamQ) {
 	sh := w.sh
-	w.cache = sq.cache
-	w.seq = sq.seq
-	//ranvet:allow spscsingle mode-exclusive: runStream runs only under parallel workers; the producer's inline drain (drainStream) exists only when workers are not spawned
-	n := sq.in.popN(sh.burstFrames, sh.burstTs)
-	if n > 0 {
-		w.processBurst(sh.burstFrames[:n], sh.burstTs[:n])
-	}
+	w.drainStream(sq, len(sh.burstFrames))
 	p := w.eng.ws
 	if sq.in.queued() > 0 {
 		sq.state.Store(wsQueued)
@@ -427,19 +420,13 @@ func (w *worker) runStream(sq *streamQ) {
 	}
 }
 
-// drainStream is the deterministic inline drain: the producer goroutine
-// empties the stream through its home worker immediately, so inline
-// semantics (and bit-identical seeded replays) are preserved.
-func (w *worker) drainStream(sq *streamQ) {
-	sh := w.sh
+// drainStream swaps the stream's private seq map and A3 cache in and runs
+// up to max of its queued frames. The deterministic inline drain passes the
+// ring's capacity: the producer goroutine empties the stream through its
+// home worker immediately, so inline semantics (and bit-identical seeded
+// replays) are preserved.
+func (w *worker) drainStream(sq *streamQ, max int) {
 	w.cache = sq.cache
 	w.seq = sq.seq
-	for {
-		//ranvet:allow spscsingle mode-exclusive: the inline drain runs on the producer goroutine only in deterministic mode, where worker goroutines are never spawned
-		n := sq.in.popN(sh.burstFrames, sh.burstTs)
-		if n == 0 {
-			return
-		}
-		w.processBurst(sh.burstFrames[:n], sh.burstTs[:n])
-	}
+	w.drainRing(sq.in, max)
 }

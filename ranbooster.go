@@ -68,8 +68,9 @@ type (
 	SerialApp = core.SerialApp
 	// BurstApp is the optional burst-aware App extension: an App that also
 	// implements HandleBurst receives each drained burst of packets in one
-	// call. Detected at engine construction; plain Apps keep the per-frame
-	// Handle contract unchanged.
+	// call. Detected at engine construction; the engine invokes either
+	// shape through one path — the burst as one group, or a group per
+	// frame — so plain Apps keep the per-frame Handle contract unchanged.
 	BurstApp = core.BurstApp
 	// BurstPolicy tunes the burst datapath (EngineConfig.Burst): batch
 	// size, worker idle-poll tolerance, kernel fast-path retirement. The
