@@ -242,7 +242,7 @@ func main() {
 			fs = fs.Add(inj.Stats())
 		}
 		fmt.Printf("faults: dropped %d of %d frames; engine saw seq gaps %d, shed %d, health %v\n",
-			fs.Dropped, fs.Injected, st.SeqGaps, st.ShedUPlane, st.Health)
+			fs.Dropped, fs.Injected, st.SeqGaps, st.ShedUPlane+st.ShedPRACH, st.Health)
 	}
 	if *trace && st.Trace != nil {
 		fmt.Println()
@@ -290,7 +290,7 @@ func (demoForward) Handle(ctx *core.Context, pkt *fh.Packet) error {
 // synthetic U-plane load while the App misbehaves on the configured
 // schedule, and the run reports what the supervision machinery did about
 // it — recovered panics, quarantined frames, breaker transitions, shard
-// restarts, adaptive sheds. With -metrics the Prometheus endpoint stays
+// restarts, ingress sheds. With -metrics the Prometheus endpoint stays
 // up for the run, exporting ranbooster_app_panics_total,
 // ranbooster_breaker_state, ranbooster_shard_restarts_total and
 // ranbooster_shed_total alongside the usual engine series.
@@ -312,11 +312,7 @@ func superviseDemo(panicEvery int, stallAfter, dur time.Duration, metrics string
 	if panicEvery > 0 {
 		app, pstats = fault.PanicEvery(app, panicEvery, 42)
 	}
-	pol := core.SupervisePolicy{
-		StallAfter:    stallAfter,
-		ShedHighWater: 0.75,
-		ShedLowWater:  0.25,
-	}
+	pol := core.SupervisePolicy{StallAfter: stallAfter}
 	if panicEvery > 0 {
 		pol.PanicBudget = 3
 	}

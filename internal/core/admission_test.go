@@ -9,27 +9,15 @@ import (
 	"ranbooster/internal/sim"
 )
 
-// parkedQueue resolves the admission queue a frame lands on — its home
-// shard, and a drain of everything queued there through the home worker —
-// for an engine parked in parallel mode with no workers.
-func parkedQueue(e *Engine, frame []byte) (home *shard, drain func()) {
-	if e.ws != nil {
-		sq := e.ws.stream(frame)
-		home = e.shards[sq.home]
-		return home, func() { home.w.drainStream(sq, len(sq.in.buf)) }
-	}
-	home = e.shardFor(frame)
-	return home, func() { home.drain(len(home.in.buf)) }
-}
-
 // TestAdmissionLedger is the admission contract of both layouts through
 // the public entry points: the chaos experiment's offered mix (6/8 U-plane
 // data, 1/8 PRACH, 1/8 C-plane, one eAxC) is offered to a queue nobody
 // drains until well past full. Ingress gives up frames by class as the
-// free slots run out — data inside the last 1/8 of the queue, C-plane
-// only when no slot is left — and accounts every refusal; TryIngress
-// refuses only on a full queue and counts nothing. Either way the ledger
-// closes on the queue's home shard: offered = rx + shed + dropped.
+// free slots run out — data inside the last 1/8 of the queue, PRACH
+// inside the last 1/16, C-plane only when no slot is left — and accounts
+// every refusal under its class; TryIngress refuses only on a full queue
+// and counts nothing. Either way the ledger closes on the queue's home
+// shard: offered = rx + shed + dropped.
 func TestAdmissionLedger(t *testing.T) {
 	// The per-stream queue of the work-stealing layout has this capacity
 	// too, so one expectation serves both layouts.
@@ -40,7 +28,7 @@ func TestAdmissionLedger(t *testing.T) {
 		cplane
 	)
 	// reserve[class] is how many free slots the class may not take.
-	reserve := [...]int{data: ring / 8, prach: ring / 8, cplane: 0}
+	reserve := [...]int{data: ring / 8, prach: ring / 16, cplane: 0}
 
 	for _, ws := range []bool{false, true} {
 		for _, try := range []bool{false, true} {
@@ -70,7 +58,8 @@ func TestAdmissionLedger(t *testing.T) {
 					prach:  prachFrame(t, b, 1),
 					cplane: cplaneFrame(t, b, oran.Downlink, 1),
 				}
-				home, drain := parkedQueue(e, frames[data])
+				q := e.route(frames[data])
+				home := q.home
 
 				const offered = 2 * ring
 				queued := 0
@@ -95,8 +84,7 @@ func TestAdmissionLedger(t *testing.T) {
 					case free == 0 && class == cplane:
 						want.RingDrops++
 					case class == prach:
-						// Which counter takes a shed PRACH frame is pinned
-						// with the PRACH tier, below.
+						want.ShedPRACH++
 					default:
 						want.ShedUPlane++
 					}
@@ -125,12 +113,13 @@ func TestAdmissionLedger(t *testing.T) {
 				if try && st.ShedUPlane+st.ShedPRACH+st.RingDrops != 0 {
 					t.Fatalf("TryIngress counted refusals: %+v", st)
 				}
-				if !try && (st.RingDrops != want.RingDrops || st.ShedUPlane < want.ShedUPlane || want.RingDrops == 0) {
-					t.Fatalf("refusals: %d data shed, %d ring drops; want at least %d and exactly %d (> 0)",
-						st.ShedUPlane, st.RingDrops, want.ShedUPlane, want.RingDrops)
+				if !try && (st.ShedUPlane != want.ShedUPlane || st.ShedPRACH != want.ShedPRACH ||
+					st.RingDrops != want.RingDrops || want.ShedPRACH == 0 || want.RingDrops == 0) {
+					t.Fatalf("refusals: shed %d data + %d PRACH, dropped %d; want %d + %d (> 0), %d (> 0)",
+						st.ShedUPlane, st.ShedPRACH, st.RingDrops, want.ShedUPlane, want.ShedPRACH, want.RingDrops)
 				}
 
-				drain()
+				home.w.drainStream(q, ring)
 				s.Run()
 				st = e.Snapshot()
 				accounted := st.RxFrames + st.ShedUPlane + st.ShedPRACH + st.RingDrops

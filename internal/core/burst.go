@@ -19,26 +19,17 @@ const (
 	// MaxBatch bounds BurstPolicy.Batch — a burst larger than a NIC RX
 	// descriptor ring's worth of frames amortizes nothing further.
 	MaxBatch = 4096
-	// DefaultIdlePolls is the BurstPolicy.MaxIdlePolls default: one empty
-	// poll and the worker blocks on its wake channel.
-	DefaultIdlePolls = 1
 )
 
 // BurstPolicy groups the burst-datapath knobs of Config. The zero value
-// keeps the engine's defaults (DefaultBatch-frame bursts, block after one
-// empty poll, kernel retirement on), so existing callers need not change.
+// keeps the engine's defaults (DefaultBatch-frame bursts, kernel
+// retirement on), so existing callers need not change.
 type BurstPolicy struct {
 	// Batch bounds how many frames a worker drains per wakeup; the burst
 	// loop amortizes per-frame overhead across the vector. 0 defaults to
 	// DefaultBatch. Negative values and values above MaxBatch are rejected
 	// with ErrBadBatch.
 	Batch int
-	// MaxIdlePolls is how many consecutive empty polls a parallel worker
-	// tolerates (yielding the processor between polls) before blocking on
-	// its wake channel. Higher values trade idle CPU for wakeup latency,
-	// the poll-versus-interrupt dial of §5. 0 defaults to
-	// DefaultIdlePolls; negative values are rejected with ErrBadIdlePolls.
-	MaxIdlePolls int
 	// DisableKernelRetire turns off in-kernel completion of A1/A2-only
 	// frames on an XDP engine: Tx and Drop verdicts then construct the
 	// userspace packet exactly as the pre-burst datapath did. The emitted
@@ -52,9 +43,6 @@ func (p BurstPolicy) withDefaults() BurstPolicy {
 	if p.Batch == 0 {
 		p.Batch = DefaultBatch
 	}
-	if p.MaxIdlePolls == 0 {
-		p.MaxIdlePolls = DefaultIdlePolls
-	}
 	return p
 }
 
@@ -62,9 +50,6 @@ func (p BurstPolicy) withDefaults() BurstPolicy {
 func (p BurstPolicy) validate() error {
 	if p.Batch < 0 || p.Batch > MaxBatch {
 		return fmt.Errorf("%w: %d", ErrBadBatch, p.Batch)
-	}
-	if p.MaxIdlePolls < 0 {
-		return fmt.Errorf("%w: %d", ErrBadIdlePolls, p.MaxIdlePolls)
 	}
 	return nil
 }

@@ -60,40 +60,36 @@ func TestBurstPolicyValidation(t *testing.T) {
 	if _, err := NewEngine(s, cfg); !errors.Is(err, ErrBadBatch) {
 		t.Fatalf("oversized batch: got %v, want ErrBadBatch", err)
 	}
-	cfg.Burst = BurstPolicy{MaxIdlePolls: -1}
-	if _, err := NewEngine(s, cfg); !errors.Is(err, ErrBadIdlePolls) {
-		t.Fatalf("negative idle polls: got %v, want ErrBadIdlePolls", err)
-	}
 
 	// The zero value resolves to the documented defaults.
 	e, err := NewEngine(s, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := e.cfg.Burst; got.Batch != DefaultBatch || got.MaxIdlePolls != DefaultIdlePolls || got.DisableKernelRetire {
+	if got := e.cfg.Burst; got.Batch != DefaultBatch || got.DisableKernelRetire {
 		t.Fatalf("zero BurstPolicy resolved to %+v", got)
 	}
 	if _, err := NewEngine(s, Config{Name: "x", Mode: ModeDPDK, App: &forwarder{},
-		CarrierPRBs: 106, Burst: BurstPolicy{Batch: MaxBatch, MaxIdlePolls: 8}}); err != nil {
+		CarrierPRBs: 106, Burst: BurstPolicy{Batch: MaxBatch}}); err != nil {
 		t.Fatalf("in-range policy rejected: %v", err)
 	}
 }
 
-// drainDirect enqueues the frames on shard 0 and drains them as one burst
-// through the direct-emit (parallel) path, without worker goroutines —
-// the deterministic inline path always sees 1-frame bursts, so burst
-// delivery is exercised whitebox.
+// drainDirect queues the frames on a single-shard engine parked in
+// parallel mode and drains them as one burst through the direct-emit
+// path, without worker goroutines — the deterministic inline path always
+// sees 1-frame bursts, so burst delivery is exercised whitebox.
 func drainDirect(t *testing.T, e *Engine, frames [][]byte) {
 	t.Helper()
 	e.parallel = true
 	defer func() { e.parallel = false }()
-	sh := e.shards[0]
 	for _, f := range frames {
-		if !sh.enqueue(f) {
+		if !e.TryIngress(f) {
 			t.Fatal("ring full")
 		}
 	}
-	sh.drain(e.cfg.Burst.Batch)
+	sh := e.shards[0]
+	sh.w.drainStream(sh.q, e.cfg.Burst.Batch)
 }
 
 func TestBurstAppReceivesWholeBurst(t *testing.T) {
@@ -387,11 +383,11 @@ func TestBurstPathAllocs(t *testing.T) {
 		frame := uplaneFrame(t, b, oran.Downlink, 0, 3, 100)
 		fill := func() {
 			for i := 0; i < batch; i++ {
-				if !sh.enqueue(frame) {
+				if !e.TryIngress(frame) {
 					t.Fatal("ring full")
 				}
 			}
-			sh.drain(batch)
+			sh.w.drainStream(sh.q, batch)
 		}
 		// Warm scratch buffers and the latency window's backing arrays so
 		// steady state is measured, not first-touch growth.

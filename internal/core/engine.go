@@ -74,38 +74,25 @@ type Config struct {
 	Kernel *KernelProgram
 	// CarrierPRBs resolves "all PRBs" encodings during payload access.
 	CarrierPRBs int
-	// CacheMaxAge bounds A3 entries (default 2 slots).
-	CacheMaxAge time.Duration
-	// Burst tunes the burst-mode datapath: the per-wakeup batch size, the
-	// worker's idle-poll tolerance, and kernel fast-path retirement. The
-	// zero value keeps the defaults (see BurstPolicy); out-of-range knobs
-	// are rejected with ErrBadBatch / ErrBadIdlePolls.
+	// Burst tunes the burst-mode datapath: the per-wakeup batch size and
+	// kernel fast-path retirement. The zero value keeps the defaults (see
+	// BurstPolicy); an out-of-range batch is rejected with ErrBadBatch.
 	Burst BurstPolicy
 	// RingSize is the per-shard ingress ring capacity, rounded up to a
-	// power of two (default DefaultRingSize).
+	// power of two (default DefaultRingSize). The last eighth of a ring is
+	// reserved by class — see Ingress.
 	RingSize int
-	// CPlaneHeadroom reserves ring slots for C-plane frames: once a
-	// shard's free slots fall to the headroom, Ingress sheds U-plane (and
-	// unclassifiable) frames — counted in Stats.ShedUPlane — so late
-	// control messages still get in. Losing a C-plane frame wedges a whole
-	// slot's schedule; losing a U-plane frame costs one symbol, so C-plane
-	// is dropped only when the ring is completely full. 0 defaults to
-	// RingSize/8; a negative value disables shedding; values >= RingSize
-	// are rejected with ErrBadHeadroom.
-	CPlaneHeadroom int
 	// Supervise tunes the engine-supervision subsystem: App panic
-	// isolation with a circuit breaker, the shard stall watchdog, and
-	// AIMD overload shedding (see SupervisePolicy). The zero value
-	// disables all three — the unsupervised behavior. Out-of-range knobs
-	// are rejected with ErrBadPanicBudget / ErrBadCooldown /
-	// ErrBadStallAfter / ErrBadShedWater.
+	// isolation with a circuit breaker and the shard stall watchdog (see
+	// SupervisePolicy). The zero value disables both — the unsupervised
+	// behavior. Out-of-range knobs are rejected with ErrBadPanicBudget /
+	// ErrBadCooldown / ErrBadStallAfter.
 	Supervise SupervisePolicy
-	// Scale tunes metro-scale admission: ScalePolicy.WorkSteal replaces
+	// Scale selects metro-scale admission: ScalePolicy.WorkSteal replaces
 	// the static eAxC→shard hash with per-stream queues drained by a
 	// work-stealing worker pool (see ScalePolicy). The zero value keeps
-	// the hash layout. Out-of-range knobs are rejected with ErrBadRing /
-	// ErrBadMaxStreams / ErrBadHedge; combinations with the shard
-	// watchdog or AIMD shedding are rejected with ErrScaleSupervise.
+	// the hash layout. Combining it with the shard watchdog is rejected
+	// with ErrScaleSupervise.
 	Scale ScalePolicy
 	// Trace enables the frame-span trace collector: every processed frame
 	// leaves a telemetry.Span in its shard's fixed-size ring and feeds the
@@ -139,9 +126,9 @@ type Stats struct {
 	// RingDrops counts frames dropped because a shard's ingress ring was
 	// full (parallel workers only; the deterministic path drains inline).
 	RingDrops uint64
-	// ShedUPlane counts U-plane frames shed at ingress to preserve the
-	// C-plane headroom while a ring was nearly full (see
-	// Config.CPlaneHeadroom).
+	// ShedUPlane counts U-plane data (and unclassifiable) frames shed at
+	// ingress inside a queue's reserved last eighth (see Ingress); PRACH
+	// sheds are counted in ShedPRACH.
 	ShedUPlane uint64
 	// Fault-visibility counters: per-eAxC eCPRI sequence tracking in the
 	// shard datapath. SeqGaps accumulates missing sequence numbers,
@@ -157,9 +144,9 @@ type Stats struct {
 	// Supervision counters (SupervisePolicy). AppPanics counts recovered
 	// App panics; Quarantined counts frames failed to the wire as raw
 	// passthrough because of a panic or an open breaker; ShardRestarts
-	// counts hitless watchdog restarts; ShedPRACH counts PRACH frames
-	// shed by the AIMD controller under sustained overload (data-plane
-	// sheds stay in ShedUPlane).
+	// counts hitless watchdog restarts. ShedPRACH counts PRACH frames
+	// shed at ingress — only inside the last sixteenth of a queue, after
+	// U-plane data (data sheds stay in ShedUPlane).
 	AppPanics     uint64
 	Quarantined   uint64
 	ShardRestarts uint64
@@ -234,10 +221,10 @@ func mergeTrace(a, b *telemetry.TraceStats) *telemetry.TraceStats {
 }
 
 // Engine runs one middlebox over a fronthaul attachment point (a switch
-// port or NIC VF). The datapath is sharded: each configured core owns a
-// single-producer/single-consumer ingress ring, an A3 cache, a latency
-// window and a slice of the counter store, keyed by the eAxC RU port (see
-// shard.go for the execution modes).
+// port or NIC VF). The datapath is sharded: each configured core owns an
+// admission queue (single-producer/single-consumer ingress ring, sequence
+// table, A3 cache), a latency window and a slice of the counter store,
+// keyed by the eAxC RU port (see shard.go for the execution modes).
 type Engine struct {
 	cfg   Config
 	sched *sim.Scheduler
@@ -289,9 +276,6 @@ func NewEngine(sched *sim.Scheduler, cfg Config) (*Engine, error) {
 	if cfg.CarrierPRBs <= 0 {
 		return fail(ErrBadCarrierPRBs)
 	}
-	if cfg.CacheMaxAge <= 0 {
-		cfg.CacheMaxAge = time.Millisecond
-	}
 	if err := cfg.Burst.validate(); err != nil {
 		return fail(err)
 	}
@@ -300,17 +284,8 @@ func NewEngine(sched *sim.Scheduler, cfg Config) (*Engine, error) {
 		return fail(err)
 	}
 	cfg.Supervise = cfg.Supervise.withDefaults()
-	if err := cfg.Scale.validate(); err != nil {
-		return fail(err)
-	}
-	cfg.Scale = cfg.Scale.withDefaults()
-	if cfg.Scale.WorkSteal {
-		if cfg.Supervise.StallAfter > 0 {
-			return fail(fmt.Errorf("%w: shard watchdog (StallAfter)", ErrScaleSupervise))
-		}
-		if cfg.Supervise.aimd() {
-			return fail(fmt.Errorf("%w: AIMD shedding watermarks", ErrScaleSupervise))
-		}
+	if cfg.Scale.WorkSteal && cfg.Supervise.StallAfter > 0 {
+		return fail(ErrScaleSupervise)
 	}
 	if cfg.RingSize <= 0 {
 		cfg.RingSize = DefaultRingSize
@@ -323,14 +298,6 @@ func NewEngine(sched *sim.Scheduler, cfg Config) (*Engine, error) {
 	}
 	if cfg.TraceRing > MaxRingSize {
 		return fail(fmt.Errorf("%w: trace ring %d", ErrBadRing, cfg.TraceRing))
-	}
-	if cfg.CPlaneHeadroom >= cfg.RingSize {
-		return fail(fmt.Errorf("%w: headroom %d with ring size %d", ErrBadHeadroom, cfg.CPlaneHeadroom, cfg.RingSize))
-	}
-	if cfg.CPlaneHeadroom == 0 {
-		cfg.CPlaneHeadroom = cfg.RingSize / 8
-	} else if cfg.CPlaneHeadroom < 0 {
-		cfg.CPlaneHeadroom = 0 // shedding disabled
 	}
 	switch cfg.Mode {
 	case ModeDPDK:
@@ -541,77 +508,108 @@ func (e *Engine) Stop() {
 	e.clock = e.sched
 }
 
-// shardFor steers a frame: packets sharing an eAxC RU port always land on
-// the same shard (per-antenna spreading, §6.4.1), so per-stream FIFO
-// order and per-shard cache affinity hold by construction. Frames with no
-// readable eAxC go to shard 0, whose full decode will count the parse
-// error.
-func (e *Engine) shardFor(frame []byte) *shard {
+// route resolves a frame to its admission queue — the one place the two
+// layouts differ on the producer side. Work stealing interns a queue per
+// full eAxC. The hash layout keys the shard's pinned queue on the RU port,
+// the low nibble of the eAxC wire form: packets sharing an RU port always
+// land on the same shard (per-antenna spreading, §6.4.1), and keying on the
+// nibble rather than the full id keeps every packet that can share an A3
+// cache entry (RU-sharing tenants address the same RU port from different
+// DU ports) on one queue. Frames with no readable eAxC go to shard 0,
+// whose full decode will count the parse error.
+func (e *Engine) route(frame []byte) *streamQ {
+	if e.ws != nil {
+		return e.ws.stream(frame)
+	}
 	if len(e.shards) == 1 {
-		return e.shards[0]
+		return e.shards[0].q
 	}
 	eaxc, ok := fh.PeekEAxC(frame)
 	if !ok {
-		return e.shards[0]
+		return e.shards[0].q
 	}
-	// The RU port is the low nibble of the eAxC wire form. Keying on it —
-	// rather than the full id — keeps every packet that can share an A3
-	// cache entry (RU-sharing tenants address the same RU port from
-	// different DU ports) on one shard.
-	return e.shards[int(eaxc&0xf)%len(e.shards)]
+	return e.shards[int(eaxc&0xf)%len(e.shards)].q
+}
+
+// ingress is the one admission path: route, shed rule, stamped push, then
+// an inline drain through the queue's home worker or, under Start, a wake.
+// account selects the Ingress semantics — the shed rule applies and every
+// refusal is counted on the home shard; without it (TryIngress) only a
+// full ring refuses and nothing is counted.
+//
+// The shed rule reserves the last eighth of the queue by traffic class,
+// in integer arithmetic on the queue's own capacity (nothing on rings
+// under 8 slots): U-plane data and unclassifiable frames are shed once the
+// free slots fall to the reserve, PRACH only once they fall to half of it,
+// C-plane never. A U-plane loss costs one symbol of IQ and a PRACH loss one
+// access attempt, but a C-plane loss wedges a slot's schedule — so C-plane
+// is only ever refused by a completely full ring.
+func (e *Engine) ingress(frame []byte, account bool) bool {
+	q := e.route(frame)
+	home := q.home
+	if account {
+		free, reserve := len(q.in.buf)-q.in.queued(), len(q.in.buf)/8
+		if reserve > 0 && free <= reserve {
+			switch plane, prach := fh.PeekShedClass(frame); {
+			case plane == fh.PlaneC:
+			case !prach:
+				home.stats.shedUPlane.Add(1)
+				return false
+			case free <= reserve/2:
+				home.stats.shedPRACH.Add(1)
+				return false
+			}
+		}
+	}
+	// The enqueue stamp feeds the trace collector only; untraced frames
+	// skip the clock read and the stale stamp is never consumed.
+	var at sim.Time
+	if home.tracer != nil {
+		at = home.now()
+	}
+	if !q.in.push(frame, at) {
+		if account {
+			home.stats.ringDrops.Add(1)
+		}
+		return false
+	}
+	if !e.parallel {
+		// Deterministic inline mode: drain the queue on the spot through
+		// its home worker — seeded runs replay bit-identically.
+		home.w.drainStream(q, len(q.in.buf))
+		return true
+	}
+	if e.ws != nil {
+		e.ws.publish(q)
+	}
+	home.wakeUp()
+	return true
 }
 
 // Ingress is the receive entry point; wire it to a fabric port handler.
 // Like a NIC RX queue it has a single-producer contract: calls must not
 // overlap (the simulated fabric delivers from the scheduler goroutine,
 // which guarantees this). In deterministic mode the frame is processed
-// inline; under parallel workers it is enqueued on its shard's ring.
+// inline; under parallel workers it is enqueued on its queue's ring.
 // When a ring nears overflow, admission degrades gracefully: inside the
-// last Config.CPlaneHeadroom free slots U-plane frames are shed (counted
-// in Stats.ShedUPlane) to keep room for C-plane, and only a completely
-// full ring drops a frame unconditionally (Stats.RingDrops) — as a
-// saturated NIC queue would. Every frame handed to Ingress is therefore
-// accounted for as processed, shed, or ring-dropped.
+// last eighth of the ring U-plane data is shed (Stats.ShedUPlane), inside
+// the last sixteenth PRACH too (Stats.ShedPRACH), to keep room for
+// C-plane, and only a completely full ring drops a frame unconditionally
+// (Stats.RingDrops) — as a saturated NIC queue would. Every frame handed
+// to Ingress is therefore accounted for as processed, shed, or
+// ring-dropped.
 //
 //ranvet:detpath
 //ranvet:goroutine producer
-func (e *Engine) Ingress(frame []byte) {
-	if e.ws != nil {
-		e.wsIngress(frame, true)
-		return
-	}
-	sh := e.shardFor(frame)
-	if !sh.admit(frame) {
-		return
-	}
-	if e.parallel {
-		sh.wakeUp()
-	} else {
-		sh.drain(e.cfg.Burst.Batch)
-	}
-}
+func (e *Engine) Ingress(frame []byte) { e.ingress(frame, true) }
 
 // TryIngress is the backpressure variant of Ingress for producers that
-// prefer retry over drop: it reports whether the frame was accepted and
-// never counts a drop.
+// prefer retry over drop: it reports whether the frame was accepted,
+// refuses only on a full ring, and never counts a drop.
 //
 //ranvet:detpath
 //ranvet:goroutine producer
-func (e *Engine) TryIngress(frame []byte) bool {
-	if e.ws != nil {
-		return e.wsIngress(frame, false)
-	}
-	sh := e.shardFor(frame)
-	if !sh.enqueue(frame) {
-		return false
-	}
-	if e.parallel {
-		sh.wakeUp()
-	} else {
-		sh.drain(e.cfg.Burst.Batch)
-	}
-	return true
-}
+func (e *Engine) TryIngress(frame []byte) bool { return e.ingress(frame, false) }
 
 // runKernel evaluates the rule program on w's shard. It returns the
 // verdict, the CPU cost of the evaluation, and the packets to transmit

@@ -26,12 +26,6 @@ var (
 	// ErrBadBatch rejects a burst batch size outside [0, MaxBatch] (0
 	// defaults to DefaultBatch).
 	ErrBadBatch = errors.New("burst batch size out of range")
-	// ErrBadIdlePolls rejects a negative BurstPolicy.MaxIdlePolls (0
-	// defaults to DefaultIdlePolls).
-	ErrBadIdlePolls = errors.New("max idle polls out of range")
-	// ErrBadHeadroom rejects a C-plane headroom that consumes the whole
-	// ring (no slot would ever admit U-plane traffic).
-	ErrBadHeadroom = errors.New("C-plane headroom out of range")
 	// ErrBadPanicBudget rejects a negative SupervisePolicy.PanicBudget
 	// (0 disables panic isolation).
 	ErrBadPanicBudget = errors.New("panic budget out of range")
@@ -41,19 +35,10 @@ var (
 	// ErrBadStallAfter rejects a negative SupervisePolicy.StallAfter
 	// (0 disables the shard watchdog).
 	ErrBadStallAfter = errors.New("stall deadline out of range")
-	// ErrBadShedWater rejects AIMD shedding watermarks that are not
-	// 0 <= low < high <= 1 (both zero disables AIMD shedding).
-	ErrBadShedWater = errors.New("shed watermarks out of range")
-	// ErrBadMaxStreams rejects a ScalePolicy.MaxStreams outside
-	// [0, MaxStreams] (0 defaults to DefaultMaxStreams).
-	ErrBadMaxStreams = errors.New("max streams out of range")
-	// ErrBadHedge rejects a negative ScalePolicy.HedgeAfterPolls (0
-	// defaults to DefaultHedgePolls).
-	ErrBadHedge = errors.New("hedge poll threshold out of range")
 	// ErrScaleSupervise rejects combining the work-stealing admission
-	// pool with supervision mechanisms that assume the static
-	// shard-per-stream layout (the shard watchdog, AIMD shedding).
-	ErrScaleSupervise = errors.New("work-stealing admission incompatible with supervision mechanism")
+	// pool with the shard watchdog, which watches a shard's worker and
+	// does not follow a stolen stream.
+	ErrScaleSupervise = errors.New("work-stealing admission incompatible with the shard watchdog (StallAfter)")
 	// ErrSerialApp refuses to start parallel workers for an App that
 	// declared itself serial (see SerialApp) on a multi-shard engine.
 	ErrSerialApp = errors.New("serial app cannot run parallel workers over multiple shards")

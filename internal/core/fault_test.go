@@ -5,7 +5,6 @@ package core
 // policy, and the per-shard health state machine.
 
 import (
-	"errors"
 	"testing"
 
 	"ranbooster/internal/fh"
@@ -105,46 +104,49 @@ func TestInvalidFrameDropped(t *testing.T) {
 	}
 }
 
-// TestShedUPlaneBeforeCPlane drives the admission policy directly (admit
-// does not drain, unlike Ingress in deterministic mode): with the ring
+// TestShedUPlaneBeforeCPlane drives the admission rule on a parked engine
+// (no worker drains, unlike Ingress in deterministic mode): with the ring
 // nearly full, U-plane frames must be shed while C-plane still gets in,
 // and C-plane is dropped only when the ring is completely full.
 func TestShedUPlaneBeforeCPlane(t *testing.T) {
 	s := sim.NewScheduler()
 	e, err := NewEngine(s, Config{
 		Name: "mb", Mode: ModeDPDK, App: &forwarder{}, CarrierPRBs: 106,
-		RingSize: 8, CPlaneHeadroom: 2,
+		RingSize: 16, // reserve 16/8 = 2 slots
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.SetOutput(func([]byte) {})
+	e.parallel = true
+	defer func() { e.parallel = false }()
 	b := fh.NewBuilder(duMAC, ruMAC, 6)
 	sh := e.shards[0]
+	admit := func(f []byte) bool { return e.ingress(f, true) }
 
-	// Stuff the ring up to the headroom boundary: 6 of 8 slots.
-	for i := 0; i < 6; i++ {
-		if !sh.admit(uplaneFrame(t, b, oran.Downlink, 0, 3, 100)) {
+	// Stuff the ring up to the reserve boundary: 14 of 16 slots.
+	for i := 0; i < 14; i++ {
+		if !admit(uplaneFrame(t, b, oran.Downlink, 0, 3, 100)) {
 			t.Fatalf("admit below headroom failed at %d", i)
 		}
 	}
 	uFrame := func() []byte { return uplaneFrame(t, b, oran.Downlink, 0, 3, 100) }
 	cFrame := func() []byte { return cplaneFrame(t, b, oran.Downlink, 0) }
 
-	if sh.admit(uFrame()) {
+	if admit(uFrame()) {
 		t.Fatal("U-plane admitted inside C-plane headroom")
 	}
-	if !sh.admit(cFrame()) {
+	if !admit(cFrame()) {
 		t.Fatal("C-plane shed while slots remained")
 	}
-	if sh.admit(uFrame()) {
+	if admit(uFrame()) {
 		t.Fatal("U-plane admitted inside C-plane headroom")
 	}
-	if !sh.admit(cFrame()) {
+	if !admit(cFrame()) {
 		t.Fatal("C-plane shed while the last slot remained")
 	}
 	// Ring is now completely full: only now may C-plane drop.
-	if sh.admit(cFrame()) {
+	if admit(cFrame()) {
 		t.Fatal("C-plane admitted into a full ring")
 	}
 	st := e.Snapshot()
@@ -156,32 +158,14 @@ func TestShedUPlaneBeforeCPlane(t *testing.T) {
 	}
 
 	// Accounting: drain and check offered == processed + shed + dropped.
-	for sh.drain(100) > 0 {
+	for sh.w.drainStream(sh.q, 100) > 0 {
 	}
 	s.Run()
 	st = e.Snapshot()
-	offered := uint64(6 + 5) // 6 stuffed + 5 admit attempts
+	offered := uint64(14 + 5) // 14 stuffed + 5 admit attempts
 	if st.RxFrames+st.ShedUPlane+st.RingDrops != offered {
 		t.Fatalf("accounting: rx %d + shed %d + drops %d != offered %d",
 			st.RxFrames, st.ShedUPlane, st.RingDrops, offered)
-	}
-}
-
-func TestBadHeadroomRejected(t *testing.T) {
-	s := sim.NewScheduler()
-	_, err := NewEngine(s, Config{
-		Name: "mb", Mode: ModeDPDK, App: &forwarder{}, CarrierPRBs: 106,
-		RingSize: 8, CPlaneHeadroom: 8,
-	})
-	if !errors.Is(err, ErrBadHeadroom) {
-		t.Fatalf("err = %v, want ErrBadHeadroom", err)
-	}
-	// Negative disables shedding and is accepted.
-	if _, err := NewEngine(s, Config{
-		Name: "mb", Mode: ModeDPDK, App: &forwarder{}, CarrierPRBs: 106,
-		RingSize: 8, CPlaneHeadroom: -1,
-	}); err != nil {
-		t.Fatalf("negative headroom rejected: %v", err)
 	}
 }
 

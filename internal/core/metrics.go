@@ -24,14 +24,14 @@ func (e *Engine) WriteMetrics(p *telemetry.PromWriter) {
 		{"ranbooster_app_drops_total", "frames dropped by the app (A1)", st.AppDrops},
 		{"ranbooster_app_errors_total", "app handler failures", st.AppErrors},
 		{"ranbooster_ring_drops_total", "frames dropped on full ingress rings", st.RingDrops},
-		{"ranbooster_shed_uplane_total", "U-plane frames shed to preserve C-plane headroom", st.ShedUPlane},
+		{"ranbooster_shed_uplane_total", "U-plane data frames shed inside the reserved last eighth of an ingress ring", st.ShedUPlane},
 		{"ranbooster_seq_gaps_total", "missing eCPRI sequence numbers", st.SeqGaps},
 		{"ranbooster_seq_duplicates_total", "duplicate eCPRI sequence numbers", st.Duplicates},
 		{"ranbooster_seq_reordered_total", "late frames behind their stream's high-water mark", st.Reordered},
 		{"ranbooster_app_panics_total", "recovered app panics (panic isolation)", st.AppPanics},
 		{"ranbooster_quarantined_total", "frames failed to the wire as raw passthrough", st.Quarantined},
 		{"ranbooster_shard_restarts_total", "hitless shard restarts by the stall watchdog", st.ShardRestarts},
-		{"ranbooster_shed_prach_total", "PRACH frames shed under sustained overload (AIMD)", st.ShedPRACH},
+		{"ranbooster_shed_prach_total", "PRACH frames shed inside the last sixteenth of an ingress ring", st.ShedPRACH},
 		{"ranbooster_steals_total", "streams taken from another worker's deque (work-stealing admission)", st.Steals},
 		{"ranbooster_shed_total", "all U-plane frames shed at ingress (data + PRACH)", st.ShedUPlane + st.ShedPRACH},
 	}

@@ -1,7 +1,5 @@
 package core
 
-import "fmt"
-
 // Metro-scale admission (DESIGN.md §6.8): the static eAxC→shard hash
 // keys on the RU-port nibble, so at metro scale — hundreds of RUs,
 // thousands of antenna-carrier streams — whole classes of streams
@@ -12,26 +10,9 @@ import "fmt"
 // (per-worker deques, steal-half, hedged pickup of stale streams — see
 // wsteal.go for the mechanism and the FIFO argument).
 
-// ScalePolicy defaults and bounds.
-const (
-	// DefaultStreamRing is the per-stream ingress queue capacity when
-	// ScalePolicy.StreamRing is 0.
-	DefaultStreamRing = 256
-	// DefaultMaxStreams bounds distinct stream queues when
-	// ScalePolicy.MaxStreams is 0.
-	DefaultMaxStreams = 4096
-	// DefaultHedgePolls is the idle-poll age after which a queued stream
-	// counts as stale for hedged pickup, when ScalePolicy.HedgeAfterPolls
-	// is 0.
-	DefaultHedgePolls = 8
-	// MaxStreams is the hard ceiling on ScalePolicy.MaxStreams — one
-	// queue per possible 16-bit eAxC id.
-	MaxStreams = 1 << 16
-)
-
-// ScalePolicy groups the metro-scale admission knobs of Config. The zero
-// value keeps the classic static eAxC→shard hash — existing deployments
-// are untouched.
+// ScalePolicy selects the admission layout of Config. The zero value
+// keeps the classic static eAxC→shard hash — existing deployments are
+// untouched.
 type ScalePolicy struct {
 	// WorkSteal replaces the static eAxC→shard hash with per-stream
 	// queues drained by a work-stealing worker pool. Per-eAxC FIFO order
@@ -47,58 +28,9 @@ type ScalePolicy struct {
 	// relying on cross-tenant cache hits should keep the hash layout.
 	//
 	// WorkSteal is incompatible with the shard stall watchdog
-	// (SupervisePolicy.StallAfter) and AIMD shedding (watermarks) — both
-	// assume the static shard-per-stream layout — and NewEngine rejects
-	// the combination with ErrScaleSupervise. Panic isolation composes
-	// fine.
+	// (SupervisePolicy.StallAfter), which watches a shard's worker and
+	// does not follow a stolen stream; NewEngine rejects the combination
+	// with ErrScaleSupervise. Panic isolation composes fine, and the shed
+	// rule is the same in both layouts (per stream queue here).
 	WorkSteal bool
-	// StreamRing is the per-stream ingress queue capacity, rounded up to
-	// a power of two (default DefaultStreamRing; values above MaxRingSize
-	// are rejected with ErrBadRing). Config.CPlaneHeadroom applies per
-	// stream queue, clamped to StreamRing/8.
-	StreamRing int
-	// MaxStreams bounds how many distinct stream queues the pool creates
-	// (default DefaultMaxStreams, ceiling MaxStreams — rejected with
-	// ErrBadMaxStreams beyond it). Once the pool is at capacity a new
-	// eAxC folds onto an existing queue; the fold is stable, so per-eAxC
-	// FIFO still holds.
-	MaxStreams int
-	// HedgeAfterPolls is the overdrive knob: an idle worker that found
-	// nothing to steal under the leave-one rule picks up a queued stream
-	// anyway once the stream has waited this many pool-wide idle polls —
-	// the hedged pickup that keeps a straggler's backlog moving. Negative
-	// values are rejected with ErrBadHedge; 0 defaults to
-	// DefaultHedgePolls.
-	HedgeAfterPolls int
-}
-
-// withDefaults resolves zero fields to the documented defaults.
-func (p ScalePolicy) withDefaults() ScalePolicy {
-	if !p.WorkSteal {
-		return p
-	}
-	if p.StreamRing == 0 {
-		p.StreamRing = DefaultStreamRing
-	}
-	if p.MaxStreams == 0 {
-		p.MaxStreams = DefaultMaxStreams
-	}
-	if p.HedgeAfterPolls == 0 {
-		p.HedgeAfterPolls = DefaultHedgePolls
-	}
-	return p
-}
-
-// validate rejects out-of-range knobs with the typed errors of errors.go.
-func (p ScalePolicy) validate() error {
-	if p.StreamRing < 0 || p.StreamRing > MaxRingSize {
-		return fmt.Errorf("%w: stream ring %d", ErrBadRing, p.StreamRing)
-	}
-	if p.MaxStreams < 0 || p.MaxStreams > MaxStreams {
-		return fmt.Errorf("%w: %d", ErrBadMaxStreams, p.MaxStreams)
-	}
-	if p.HedgeAfterPolls < 0 {
-		return fmt.Errorf("%w: %d", ErrBadHedge, p.HedgeAfterPolls)
-	}
-	return nil
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,9 +17,10 @@ import (
 // The sharded datapath (§5, §6.4.1: "each CPU core handles only a subset
 // of the RU antennas"): the engine owns one shard per configured core,
 // and every frame is steered to the shard owning its eAxC RU port. A
-// shard has its own ingress ring, CPU core, A3 cache, latency window and
-// counters, so distinct antenna-carrier streams process in parallel with
-// no shared mutable state while packets of one stream stay in FIFO order.
+// shard has its own admission queue (ring, sequence table, A3 cache — see
+// streamQ), CPU core, latency window and counters, so distinct antenna-
+// carrier streams process in parallel with no shared mutable state while
+// packets of one stream stay in FIFO order.
 //
 // Two execution modes share the shard code path:
 //
@@ -133,6 +133,40 @@ func (r *ring) popN(frames [][]byte, stamps []sim.Time) int {
 // concurrent access).
 func (r *ring) queued() int { return int(r.tail.Load() - r.head.Load()) }
 
+// streamQ is the engine's one admission queue type: an SPSC ingress ring
+// plus the state that belongs to the frames queued on it rather than to
+// whichever worker drains them. The hash layout pins one to each shard
+// (shard.q); the work-stealing pool interns one per eAxC (wsteal.go), and
+// state and queuedAt matter only there.
+type streamQ struct {
+	// home is the shard that counts the queue's admission outcomes, whose
+	// worker drains it inline in deterministic mode, and — under work
+	// stealing — whose deque the producer publishes it to.
+	home *shard
+	in   *ring
+	// state is the idle/queued/running machine documented in wsteal.go.
+	//
+	//ranvet:statemach wsIdle->wsQueued wsQueued->wsRunning wsRunning->wsQueued wsRunning->wsIdle
+	state atomic.Uint32
+	// queuedAt is the pool poll-epoch when the stream was last published
+	// — the staleness clock for hedged pickup.
+	queuedAt atomic.Uint64
+	// seq holds the last eCPRI sequence number seen per source stream —
+	// the middlebox-side view of a Builder's per-eAxC counter — and cache
+	// is the A3 store. The draining worker swaps both in (drainStream);
+	// between workers the handoff is ordered by the deque mutex.
+	seq   map[seqKey]uint8
+	cache *Cache
+}
+
+// cacheMaxAge bounds how long an A3 entry may wait for its key's other
+// packets before a sweep reclaims it: two slots at 30 kHz numerology.
+const cacheMaxAge = time.Millisecond
+
+func newStreamQ(home *shard, ringSize int) *streamQ {
+	return &streamQ{home: home, in: newRing(ringSize), seq: make(map[seqKey]uint8), cache: NewCache(cacheMaxAge)}
+}
+
 // shardStats is the atomic mirror of Stats one shard accumulates. The
 // owning worker writes the datapath counters; ringDrops, shedUPlane and
 // shedPRACH are written by the producer (Ingress). Snapshot merges all
@@ -198,9 +232,9 @@ type pendFrame struct {
 	decode, kernel time.Duration
 }
 
-// shard is one worker's slice of the datapath: the shared half — ring,
-// stats, health, latency windows, sequence tracking, supervision state —
-// that survives worker restarts. The scratch an App can reach through
+// shard is one worker's slice of the datapath: the shared half — pinned
+// queue, stats, health, latency windows, supervision state — that
+// survives worker restarts. The scratch an App can reach through
 // its Context lives on the worker incarnation instead (see worker), so
 // a wedged goroutine abandoned by the watchdog can never race a fresh
 // incarnation on shared mutable state.
@@ -208,12 +242,11 @@ type shard struct {
 	id   int
 	eng  *Engine
 	core *cpu.Core
-	in   *ring
-	// seq holds the last eCPRI sequence number seen per source stream —
-	// the middlebox-side view of a Builder's per-eAxC counter. Frames of
-	// one stream always land on one shard (shardFor keys on the eAxC RU
-	// port), so the map needs no lock.
-	seq map[seqKey]uint8
+	// q is the admission queue pinned to this shard in the hash layout:
+	// route steers every frame of the shard's RU ports onto it, and only
+	// this shard's worker drains it. nil under work stealing, where queues
+	// are interned per eAxC and any worker may run them (wsteal.go).
+	q *streamQ
 	// lastRing / lastFaults are the counter totals at the previous health
 	// window boundary (consumer goroutine only; see updateHealth).
 	lastRing, lastFaults uint64
@@ -270,9 +303,6 @@ type shard struct {
 	done chan struct{}
 	// brk is the per-shard circuit breaker; it survives restarts.
 	brk breaker
-	// aimd is the producer-owned adaptive shedding controller, nil unless
-	// SupervisePolicy enables AIMD watermarks.
-	aimd *aimdState
 	// wdLastSeq / wdSince are the watchdog's observation state: the app-
 	// invocation counter being watched (0 = none) and the sim.Monotonic
 	// instant it was first seen unfinished (supervisor goroutine only).
@@ -283,12 +313,12 @@ type shard struct {
 }
 
 // worker is one incarnation of a shard's consumer: everything an App can
-// reach through its Context — the reusable context itself, the A3 cache,
-// the transcoder and message scratch, the resolved-counter map — plus
-// the supervision bookkeeping that decides this incarnation's fate. A
-// hitless restart abandons the whole incarnation and builds a fresh one,
-// so the wedged goroutine (still inside Handle) can keep touching its
-// own scratch without racing the replacement.
+// reach through its Context — the reusable context itself, the running
+// queue's A3 cache, the transcoder and message scratch, the resolved-
+// counter map — plus the supervision bookkeeping that decides this
+// incarnation's fate. A hitless restart abandons the whole incarnation
+// and builds a fresh one, so the wedged goroutine (still inside Handle)
+// can keep touching its own scratch without racing the replacement.
 type worker struct {
 	sh  *shard
 	eng *Engine
@@ -308,10 +338,14 @@ type worker struct {
 	// increments entering an App invocation, appDone leaving it. Stuck
 	// means appSeq != appDone, appSeq unchanged for StallAfter of wall time.
 	appSeq, appDone atomic.Uint64
-	// seq is the sequence-tracking table trackSeq writes: the shard's
-	// own table in the hash layout, swapped to the running stream's
-	// private table by the work-stealing drains.
-	seq map[seqKey]uint8
+	// seq and cache are the sequence table and A3 store of the queue this
+	// worker is draining, swapped in by drainStream. Every packet that can
+	// touch a cache key is routed to the key's queue and a queue has one
+	// drainer at a time, so neither ever locks. An abandoned incarnation
+	// keeps the pointers it was wedged with; restartShard gives the queue a
+	// fresh cache, so the two never share one.
+	seq   map[seqKey]uint8
+	cache *Cache
 
 	// ctx is the worker's reusable app context. The App contract (see
 	// Context) says the value is valid only for the duration of Handle,
@@ -319,12 +353,6 @@ type worker struct {
 	// allocation for every frame; only the emits backing array survives
 	// a reset, trimmed to length zero.
 	ctx Context
-	// cache is the incarnation's private A3 store. Keys embed the eAxC RU
-	// port the shard is selected by, so every packet touching a key is
-	// processed by the key's owning shard — cache access never locks.
-	// A restart forfeits the old incarnation's cached packets (the
-	// abandoned App may still hold references into them).
-	cache *Cache
 	// counters caches resolved handles into the engine's striped store;
 	// the map is incarnation-owned, so the hot path pays no lock after
 	// the first use of a name.
@@ -353,8 +381,6 @@ func newShard(e *Engine, id int) *shard {
 		id:          id,
 		eng:         e,
 		core:        e.pool.Core(id),
-		in:          newRing(e.cfg.RingSize),
-		seq:         make(map[seqKey]uint8),
 		burstFrames: make([][]byte, batch),
 		burstTs:     make([]sim.Time, batch),
 		pend:        make([]pendFrame, 0, batch),
@@ -362,13 +388,12 @@ func newShard(e *Engine, id int) *shard {
 	}
 	if e.cfg.Scale.WorkSteal {
 		sh.stealBuf = make([]*streamQ, wsStealMax)
+	} else {
+		sh.q = newStreamQ(sh, e.cfg.RingSize)
 	}
 	if e.cfg.Trace {
 		sh.tracer = telemetry.NewTracer(e.cfg.TraceRing)
 		sh.spanBuf = make([]telemetry.Span, 0, batch)
-	}
-	if e.cfg.Supervise.aimd() {
-		sh.aimd = &aimdState{high: e.cfg.Supervise.ShedHighWater, low: e.cfg.Supervise.ShedLowWater}
 	}
 	sh.w = newWorker(sh)
 	return sh
@@ -385,8 +410,6 @@ func newWorker(sh *shard) *worker {
 		eng:      e,
 		epoch:    sh.epoch.Load(),
 		isolate:  e.cfg.Supervise.PanicBudget > 0 && e.cfg.App != nil,
-		seq:      sh.seq,
-		cache:    NewCache(e.cfg.CacheMaxAge),
 		counters: make(map[string]*telemetry.Counter),
 		txc:      bfp.NewTranscoder(),
 	}
@@ -425,51 +448,12 @@ type seqKey struct {
 	eaxc uint16
 }
 
-// admit applies the overload-shedding policy and enqueues the frame,
-// reporting false (with the drop accounted) when it was shed or the ring
-// was full. With AIMD shedding enabled (SupervisePolicy watermarks) the
-// adaptive controller decides — U-plane data first, PRACH only under
-// sustained overload, C-plane never. Otherwise the static headroom check
-// applies: within the last CPlaneHeadroom free slots only C-plane frames
-// are admitted — a U-plane loss costs one symbol of IQ, a C-plane loss
-// wedges a slot's schedule — so C-plane is only ever dropped once the
-// ring is completely full and every U-plane shed is exhausted.
-func (sh *shard) admit(frame []byte) bool {
-	if sh.aimd != nil {
-		if sh.shed(frame) {
-			return false
-		}
-	} else if h := sh.eng.cfg.CPlaneHeadroom; h > 0 && len(sh.in.buf)-sh.in.queued() <= h {
-		if fh.PeekPlane(frame) != fh.PlaneC {
-			sh.stats.shedUPlane.Add(1)
-			return false
-		}
-	}
-	if !sh.enqueue(frame) {
-		sh.stats.ringDrops.Add(1)
-		return false
-	}
-	return true
-}
-
-// enqueue pushes the frame on the ingress ring, stamped with the enqueue
-// instant when the trace collector is on (untraced frames skip the clock
-// read; the stale stamp is never consumed).
-func (sh *shard) enqueue(frame []byte) bool {
-	var at sim.Time
-	if sh.tracer != nil {
-		at = sh.now()
-	}
-	return sh.in.push(frame, at)
-}
-
 // trackSeq runs gap detection over the packet's eCPRI sequence number.
 // uint8 arithmetic classifies the delta from the stream's last number:
 // 0 is a duplicate, 1 in-order, 2..127 a forward jump (delta-1 frames
 // missing), >=128 a late frame overtaken by successors (reordered; the
-// high-water mark is kept). The table written is w.seq — the shard's own
-// in the hash layout, the stream's private table under work stealing —
-// so the map never needs a lock in either layout.
+// high-water mark is kept). The table written is the running queue's (see
+// worker.seq), so the map never needs a lock in either layout.
 func (w *worker) trackSeq(pkt *fh.Packet) {
 	sh := w.sh
 	key := seqKey{src: pkt.Eth.Src, eaxc: pkt.Ecpri.PcID.Uint16()}
@@ -526,26 +510,24 @@ func (sh *shard) wakeUp() {
 	}
 }
 
-// drain is the shard-level entry into the current worker incarnation's
-// drain loop — the deterministic inline path (and whitebox tests) go
-// through here; parallel workers call their own incarnation directly.
-func (sh *shard) drain(max int) int { return sh.w.drainRing(sh.in, max) }
-
-// drainRing is the one consumer loop over an ingress ring — the shard's
-// own in the hash layout, a claimed stream's under work stealing: it
-// processes up to max queued frames of r in bursts and reports how many
-// ran. In deterministic mode the ring holds at most the frame Ingress
-// just admitted, so every burst is a single frame.
-func (w *worker) drainRing(r *ring, max int) int {
+// drainStream is the one consumer loop over an admission queue — the
+// shard's pinned one in the hash layout, a claimed stream's under work
+// stealing: it swaps the queue's sequence table and A3 cache in, processes
+// up to max queued frames in bursts and reports how many ran. The
+// deterministic inline drain passes the ring's capacity; the ring then
+// holds at most the frame ingress just admitted, so every burst is a
+// single frame.
+func (w *worker) drainStream(q *streamQ, max int) int {
 	sh := w.sh
+	w.seq, w.cache = q.seq, q.cache
 	total := 0
 	for total < max {
 		want := max - total
 		if want > len(sh.burstFrames) {
 			want = len(sh.burstFrames)
 		}
-		//ranvet:allow spscsingle mode-exclusive: the producer goroutine reaches drainRing only through the deterministic inline drains (shard.drain, drainStream), which run only while no worker is spawned
-		n := r.popN(sh.burstFrames[:want], sh.burstTs[:want])
+		//ranvet:allow spscsingle mode-exclusive: the producer goroutine reaches drainStream only through the deterministic inline drain of ingress, which runs only while no worker is spawned
+		n := q.in.popN(sh.burstFrames[:want], sh.burstTs[:want])
 		if n == 0 {
 			break
 		}
@@ -555,12 +537,12 @@ func (w *worker) drainRing(r *ring, max int) int {
 	return total
 }
 
-// run is the parallel-mode worker loop: burst dequeue to amortize the
-// wakeup, spin through BurstPolicy.MaxIdlePolls empty polls before
-// blocking, final-drain on stop so no accepted frame is lost. With the
-// watchdog enabled the loop runs under the supervision guard: the mutex
-// is held for all datapath work and released only around App invocations
-// and the idle block, so a restart can only interleave at those points.
+// run is the parallel-mode worker loop of the hash layout: burst dequeue
+// to amortize the wakeup, block on the first empty poll, final-drain on
+// stop so no accepted frame is lost. With the watchdog enabled the loop
+// runs under the supervision guard: the mutex is held for all datapath
+// work and released only around App invocations and the idle block, so a
+// restart can only interleave at those points.
 //
 //ranvet:hotpath
 //ranvet:goroutine shard-worker
@@ -570,26 +552,18 @@ func (w *worker) run(stop <-chan struct{}) {
 	if w.guarded {
 		w.sh.superMu.Lock()
 	}
-	batch := w.eng.cfg.Burst.Batch
-	maxIdle := w.eng.cfg.Burst.MaxIdlePolls
-	idle := 0
+	q, batch := w.sh.q, w.eng.cfg.Burst.Batch
 	for {
-		if w.drainRing(w.sh.in, batch) > 0 {
-			idle = 0
+		if w.drainStream(q, batch) > 0 {
 			continue
 		}
-		if idle++; idle < maxIdle {
-			runtime.Gosched()
-			continue
-		}
-		idle = 0
 		w.pauseGuard()
 		select {
 		case <-w.sh.wake:
 			w.resumeGuard()
 		case <-stop:
 			w.resumeGuard()
-			for w.drainRing(w.sh.in, batch) > 0 {
+			for w.drainStream(q, batch) > 0 {
 			}
 			return
 		}

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ranbooster/internal/fh"
 	"ranbooster/internal/sim"
 	"ranbooster/internal/telemetry"
 )
@@ -14,8 +13,8 @@ import (
 // Engine supervision (DESIGN.md §6.7): the paper's middlebox is a
 // transparent bump-in-the-wire — if it misbehaves, the cell goes down —
 // so the datapath must never let a buggy or overloaded *app* become the
-// single point of failure. Three mechanisms, all opt-in through
-// SupervisePolicy and all fail-to-wire (frames keep forwarding):
+// single point of failure. Two mechanisms, both opt-in through
+// SupervisePolicy and both fail-to-wire (frames keep forwarding):
 //
 //   - Panic isolation: an App panic is recovered per frame (or per
 //     burst), the offending frames are quarantined to raw passthrough,
@@ -27,19 +26,14 @@ import (
 //     hitless shard restart — the wedged goroutine is abandoned, a
 //     fresh worker incarnation takes over the same ingress ring, and
 //     frames never popped keep their per-eAxC FIFO order.
-//   - Adaptive shedding: an AIMD controller on ring occupancy replaces
-//     the static C-plane headroom check, shedding in priority order
-//     (U-plane data first, U-plane PRACH only under sustained overload,
-//     C-plane never) with hysteresis so clean workloads see zero sheds.
 
 // DefaultBreakerCooldown is the Open → Half-Open delay when panic
 // isolation is enabled with SupervisePolicy.BreakerCooldown zero.
 const DefaultBreakerCooldown = time.Millisecond
 
 // SupervisePolicy groups the engine-supervision knobs of Config. The
-// zero value disables all three mechanisms — today's behavior: panics
-// propagate, stalls wedge their shard, and shedding follows the static
-// Config.CPlaneHeadroom check.
+// zero value disables both mechanisms: panics propagate and stalls wedge
+// their shard.
 type SupervisePolicy struct {
 	// PanicBudget enables panic isolation when positive: an App panic is
 	// recovered, the frame (or burst) is quarantined to raw passthrough
@@ -63,15 +57,6 @@ type SupervisePolicy struct {
 	// preemption. 0 disables the watchdog; negative values are rejected
 	// with ErrBadStallAfter.
 	StallAfter time.Duration
-	// ShedHighWater / ShedLowWater enable AIMD overload shedding when
-	// set: ring occupancy at or above the high water mark additively
-	// raises the shed level, occupancy at or below the low water mark
-	// multiplicatively decays it (hysteresis — between the marks the
-	// level holds). Both zero disables AIMD and keeps the static
-	// CPlaneHeadroom check; otherwise 0 <= low < high <= 1 is required
-	// (ErrBadShedWater).
-	ShedHighWater float64
-	ShedLowWater  float64
 }
 
 // withDefaults resolves zero fields to the documented defaults.
@@ -93,16 +78,8 @@ func (p SupervisePolicy) validate() error {
 	if p.StallAfter < 0 {
 		return fmt.Errorf("%w: %v", ErrBadStallAfter, p.StallAfter)
 	}
-	if p.ShedHighWater != 0 || p.ShedLowWater != 0 {
-		if p.ShedLowWater < 0 || p.ShedLowWater >= p.ShedHighWater || p.ShedHighWater > 1 {
-			return fmt.Errorf("%w: low %.3f high %.3f", ErrBadShedWater, p.ShedLowWater, p.ShedHighWater)
-		}
-	}
 	return nil
 }
-
-// aimd reports whether adaptive shedding is enabled.
-func (p SupervisePolicy) aimd() bool { return p.ShedHighWater > 0 }
 
 // BreakerState is the circuit breaker's position, ordered by severity so
 // Stats.Add merges shard states with max.
@@ -159,76 +136,6 @@ type breaker struct {
 	openedAt atomic.Int64
 	// panics counts budget consumed since the last clean probe/trip.
 	panics int
-}
-
-// AIMD curve constants. The shed level lives in [0, aimdMax]: the
-// fraction min(level, 1) of U-plane data frames is shed, and only the
-// excess above 1 — sustained overload that data shedding alone did not
-// relieve — sheds PRACH. C-plane is never shed.
-const (
-	aimdStep  = 1.0 / 16 // additive increase per admission at/above high water
-	aimdDecay = 0.5      // multiplicative decrease per admission at/below low water
-	aimdMax   = 2.0
-	aimdFloor = 1.0 / 1024 // below this the level snaps to zero
-)
-
-// aimdState is the producer-side AIMD shedding controller. All fields
-// are touched only from the ingress (producer) goroutine; shedding is
-// deterministic — a credit accumulator, not a random draw — so seeded
-// runs replay bit-identically.
-type aimdState struct {
-	high, low float64
-	level     float64
-	// acc / accPr are the shed-credit accumulators for U-plane data and
-	// PRACH respectively: each sheddable frame adds its shed probability,
-	// and a whole credit sheds one frame.
-	acc, accPr float64
-}
-
-// shed applies the AIMD controller to one arriving frame, reporting true
-// when the frame is shed (with the shed accounted).
-func (sh *shard) shed(frame []byte) bool {
-	a := sh.aimd
-	occ := float64(sh.in.queued()) / float64(len(sh.in.buf))
-	switch {
-	case occ >= a.high:
-		if a.level += aimdStep; a.level > aimdMax {
-			a.level = aimdMax
-		}
-	case occ <= a.low:
-		if a.level *= aimdDecay; a.level < aimdFloor {
-			a.level = 0
-		}
-	}
-	if a.level == 0 {
-		return false
-	}
-	plane, prach := fh.PeekShedClass(frame)
-	if plane == fh.PlaneC {
-		return false // C-plane is never shed: a lost C-plane wedges a slot's schedule
-	}
-	if prach {
-		p := a.level - 1
-		if p <= 0 {
-			return false // PRACH sheds only under sustained overload
-		}
-		if a.accPr += p; a.accPr >= 1 {
-			a.accPr--
-			sh.stats.shedPRACH.Add(1)
-			return true
-		}
-		return false
-	}
-	p := a.level
-	if p > 1 {
-		p = 1
-	}
-	if a.acc += p; a.acc >= 1 {
-		a.acc--
-		sh.stats.shedUPlane.Add(1)
-		return true
-	}
-	return false
 }
 
 // Supervise runs one management-plane supervision poll: it thaws open
@@ -295,7 +202,8 @@ func (sh *shard) thawBreaker(now sim.Time) {
 // installs a fresh worker incarnation over the same ingress ring, and
 // respawns. Frames still queued in the ring were never popped, so their
 // per-eAxC FIFO order is untouched; the wedged burst's in-flight frames
-// are abandoned with the old incarnation.
+// are abandoned with the old incarnation, and so are the packets it had
+// cached.
 func (e *Engine) restartShard(sh *shard, now sim.Time) {
 	sh.superMu.Lock()
 	w := sh.w
@@ -312,8 +220,11 @@ func (e *Engine) restartShard(sh *shard, now sim.Time) {
 		sh.stats.health.Store(uint32(Stalled))
 		e.bus.Publish(telemetry.Sample{Name: KPIHealth, At: now, Value: float64(Stalled)})
 	}
-	nw := newWorker(sh)
-	sh.w = nw
+	// A restart forfeits the old incarnation's A3 entries: the abandoned
+	// App may still hold references into them, and keeps reading its own
+	// store (worker.cache) while the queue starts over with an empty one.
+	sh.q.cache = NewCache(cacheMaxAge)
+	sh.w = newWorker(sh)
 	sh.wdLastSeq = 0
 	sh.spawn(e.stopc)
 	sh.superMu.Unlock()

@@ -20,7 +20,7 @@ import (
 )
 
 // prachFrame builds an uplink U-plane frame with timing filter index 1 —
-// PRACH traffic, the class the AIMD shedder sacrifices last.
+// PRACH traffic, the U-plane class admission sheds last.
 func prachFrame(t *testing.T, b *fh.Builder, port uint8) []byte {
 	t.Helper()
 	payload, err := bfp.CompressGrid(nil, iq.NewGrid(4), bfp9())
@@ -45,10 +45,6 @@ func TestSupervisePolicyValidation(t *testing.T) {
 		{SupervisePolicy{PanicBudget: -1}, ErrBadPanicBudget},
 		{SupervisePolicy{BreakerCooldown: -time.Millisecond}, ErrBadCooldown},
 		{SupervisePolicy{StallAfter: -time.Millisecond}, ErrBadStallAfter},
-		{SupervisePolicy{ShedHighWater: 0.5, ShedLowWater: 0.5}, ErrBadShedWater},
-		{SupervisePolicy{ShedHighWater: 1.5, ShedLowWater: 0.1}, ErrBadShedWater},
-		{SupervisePolicy{ShedHighWater: 0, ShedLowWater: 0.1}, ErrBadShedWater},
-		{SupervisePolicy{ShedLowWater: -0.1, ShedHighWater: 0.5}, ErrBadShedWater},
 	}
 	for _, c := range cases {
 		cfg := base
@@ -271,133 +267,44 @@ func (p *panickyBurst) Name() string                             { return "panic
 func (p *panickyBurst) Handle(*Context, *fh.Packet) error        { panic("per-frame") }
 func (p *panickyBurst) HandleBurst(*Context, []*fh.Packet) error { panic("burst bug") }
 
-// TestAIMDShedding drives the adaptive shedder whitebox: sustained high
-// ring occupancy raises the shed level (U-plane data first, PRACH only
-// past level 1), C-plane is never shed, and low occupancy decays the
-// level back to zero.
-func TestAIMDShedding(t *testing.T) {
-	s := sim.NewScheduler()
-	e, err := NewEngine(s, Config{Name: "mb", Mode: ModeDPDK, App: &forwarder{}, CarrierPRBs: 106,
-		RingSize: 64, Supervise: SupervisePolicy{ShedHighWater: 0.5, ShedLowWater: 0.25}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.SetOutput(func([]byte) {})
-	sh := e.shards[0]
-	if sh.aimd == nil {
-		t.Fatal("AIMD controller not armed")
-	}
-	// Park the engine in parallel mode without workers so admissions
-	// accumulate in the ring instead of draining inline.
-	e.parallel = true
-	defer func() { e.parallel = false }()
-
-	b := fh.NewBuilder(duMAC, ruMAC, 6)
-	data := uplaneFrame(t, b, oran.Uplink, 0, 1, 10)
-	prach := prachFrame(t, b, 0)
-	cplane := cplaneFrame(t, b, oran.Downlink, 0)
-
-	// Fill to the high water mark: every admission from here on raises
-	// the level additively.
-	for sh.in.queued() < 32 {
-		if !sh.enqueue(data) {
-			t.Fatal("ring full during fill")
-		}
-	}
-	// Push the level to 1.0 (16 admissions at +1/16): all data credit.
-	for i := 0; i < 16; i++ {
-		sh.admit(data)
-	}
-	if lvl := sh.aimd.level; lvl < 0.99 {
-		t.Fatalf("level = %.3f after 16 high-occupancy admissions, want ~1", lvl)
-	}
-	st := e.Snapshot()
-	if st.ShedUPlane == 0 {
-		t.Fatal("no U-plane data shed at level ~1")
-	}
-	if st.ShedPRACH != 0 {
-		t.Fatalf("PRACH shed at level <= 1 (%d)", st.ShedPRACH)
-	}
-	// PRACH is spared until the level exceeds 1 — sustained overload.
-	sh.admit(prach)
-	if e.Snapshot().ShedPRACH != 0 {
-		t.Fatal("PRACH shed before sustained overload")
-	}
-	for i := 0; i < 32; i++ {
-		sh.admit(data)
-	}
-	if lvl := sh.aimd.level; lvl < 1.5 {
-		t.Fatalf("level = %.3f after sustained overload, want > 1.5", lvl)
-	}
-	shedBefore := e.Snapshot().ShedPRACH
-	for i := 0; i < 8; i++ {
-		sh.admit(prach)
-	}
-	if e.Snapshot().ShedPRACH == shedBefore {
-		t.Fatal("no PRACH shed under sustained overload")
-	}
-	// C-plane is never shed, at any level.
-	for i := 0; i < 8; i++ {
-		if sh.shed(cplane) {
-			t.Fatal("C-plane frame shed")
-		}
-	}
-	// Drain the ring below the low water mark: the level decays to zero.
-	for sh.in.queued() > 8 {
-		sh.in.pop()
-	}
-	for i := 0; i < 16; i++ {
-		sh.shed(cplane) // C-plane probes update the level without shedding
-	}
-	if lvl := sh.aimd.level; lvl != 0 {
-		t.Fatalf("level = %.4f after decay, want 0", lvl)
-	}
-}
-
-// TestAIMDCleanWorkloadZeroSheds: hysteresis means a workload that never
-// crosses the high water mark sees no sheds at all.
-func TestAIMDCleanWorkloadZeroSheds(t *testing.T) {
-	s := sim.NewScheduler()
-	e, err := NewEngine(s, Config{Name: "mb", Mode: ModeDPDK, App: &forwarder{}, CarrierPRBs: 106,
-		RingSize: 64, Supervise: SupervisePolicy{ShedHighWater: 0.75, ShedLowWater: 0.25}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.SetOutput(func([]byte) {})
-	b := fh.NewBuilder(duMAC, ruMAC, 6)
-	for i := 0; i < 2000; i++ {
-		e.Ingress(uplaneFrame(t, b, oran.Downlink, 0, uint8(i%14), 10))
-	}
-	s.Run()
-	st := e.Snapshot()
-	if st.ShedUPlane != 0 || st.ShedPRACH != 0 || st.RingDrops != 0 {
-		t.Fatalf("clean workload shed frames: %+v", st)
-	}
-	if st.RxFrames != 2000 || st.TxFrames != 2000 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
+// wedgeKey is the A3 key wedgeApp caches its wedging packet under.
+var wedgeKey = fh.Key{EAxC: 0xbeef}
 
 // wedgeApp blocks Handle exactly once, on the first frame whose RU port
-// matches, until release is closed. entered signals the block began.
+// matches, until release is closed. entered signals the block began. The
+// wedging call caches its packet first and, once released, reports how
+// many entries it still finds under the key (own, then closes resumed);
+// every other call on the port raises others to the count it sees.
 type wedgeApp struct {
 	port    uint8
 	armed   atomic.Bool
 	entered chan struct{}
 	release chan struct{}
+	resumed chan struct{}
+	own     int
+	others  atomic.Int32
 }
 
 func newWedgeApp(port uint8) *wedgeApp {
-	w := &wedgeApp{port: port, entered: make(chan struct{}), release: make(chan struct{})}
+	w := &wedgeApp{port: port, entered: make(chan struct{}), release: make(chan struct{}), resumed: make(chan struct{})}
 	w.armed.Store(true)
 	return w
 }
 
 func (a *wedgeApp) Name() string { return "wedge" }
 func (a *wedgeApp) Handle(ctx *Context, pkt *fh.Packet) error {
-	if pkt.EAxC().RUPort == a.port && a.armed.CompareAndSwap(true, false) {
+	switch {
+	case pkt.EAxC().RUPort != a.port:
+	case a.armed.CompareAndSwap(true, false):
+		ctx.Cache(wedgeKey, pkt)
 		close(a.entered)
 		<-a.release
+		a.own = ctx.CachedCount(wedgeKey)
+		close(a.resumed)
+	default:
+		if n := int32(ctx.CachedCount(wedgeKey)); n > a.others.Load() {
+			a.others.Store(n)
+		}
 	}
 	ctx.Forward(pkt)
 	return nil
@@ -417,7 +324,9 @@ func superviseUntilRestart(e *Engine, stallAfter time.Duration) {
 // TestWatchdogRestartsStalledShard wedges one shard's worker inside
 // Handle and requires the supervisor to detect the stall, restart the
 // shard hitlessly, and keep per-eAxC FIFO order for the frames that were
-// still queued behind the wedge.
+// still queued behind the wedge. The restart forfeits the wedged
+// incarnation's A3 entries: the fresh one starts from an empty cache,
+// while the abandoned call, whenever it resumes, still reads its own.
 func TestWatchdogRestartsStalledShard(t *testing.T) {
 	// Wall clock, and wide enough that the driver being descheduled
 	// between the two back-to-back polls below cannot reach it.
@@ -452,7 +361,12 @@ func TestWatchdogRestartsStalledShard(t *testing.T) {
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer close(app.release)
+	released := false
+	defer func() {
+		if !released {
+			close(app.release)
+		}
+	}()
 
 	b1 := fh.NewBuilder(duMAC, ruMAC, -1)
 	// Frame 0 wedges the port-1 shard.
@@ -503,6 +417,15 @@ func TestWatchdogRestartsStalledShard(t *testing.T) {
 		if seq != i+1 {
 			t.Fatalf("port-1 order = %v — FIFO violated across restart", got)
 		}
+	}
+	if n := app.others.Load(); n != 0 {
+		t.Fatalf("a follower saw %d packets cached by the abandoned incarnation, want 0", n)
+	}
+	released = true
+	close(app.release)
+	<-app.resumed
+	if app.own != 1 {
+		t.Fatalf("the abandoned call finds %d entries under its own key, want 1", app.own)
 	}
 }
 
@@ -688,11 +611,11 @@ func TestSupervisedBurstPathAllocs(t *testing.T) {
 	frame := uplaneFrame(t, b, oran.Downlink, 0, 3, 100)
 	fill := func() {
 		for i := 0; i < batch; i++ {
-			if !sh.enqueue(frame) {
+			if !e.TryIngress(frame) {
 				t.Fatal("ring full")
 			}
 		}
-		sh.drain(batch)
+		sh.w.drainStream(sh.q, batch)
 	}
 	for i := 0; i < 64; i++ {
 		fill()

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"ranbooster/internal/fh"
-	"ranbooster/internal/sim"
 )
 
 // The work-stealing admission pool (ScalePolicy.WorkSteal, DESIGN.md
@@ -19,7 +17,7 @@ import (
 //   - Workers pop streams from their own deque first, then steal the
 //     oldest half of the deepest victim deque (leaving the victim's last
 //     stream for its owner), and finally hedge: once a queued stream has
-//     waited HedgeAfterPolls pool-wide idle polls, an idle worker takes
+//     waited wsHedgePolls pool-wide idle polls, an idle worker takes
 //     it even if it is the victim's last — the overdrive that keeps a
 //     straggler's backlog moving while the straggler is buried in a hot
 //     stream. Stolen and hedged pickups are counted in Stats.Steals.
@@ -38,7 +36,7 @@ import (
 // mutex (publish under lock happens-before pickup under the same lock).
 //
 // In deterministic inline mode the state machine is bypassed entirely:
-// Ingress drains the stream on the spot through its home shard's worker,
+// ingress drains the stream on the spot through its home shard's worker,
 // so seeded runs replay bit-identically and Stats.Steals stays zero.
 
 // Stream state machine values (streamQ.state).
@@ -57,30 +55,19 @@ const wsNoEAxC = 1 << 16
 // scratch fixed-size.
 const wsStealMax = 32
 
-// streamQ is one eAxC stream's admission state: the SPSC ingress ring
-// plus everything that must migrate with the stream when a different
-// worker picks it up.
-type streamQ struct {
-	// key is the stream's eAxC wire id (or wsNoEAxC).
-	key uint32
-	// home is the shard whose deque the producer publishes to and whose
-	// worker drains the stream inline in deterministic mode. Derived from
-	// key, so seeded runs are reproducible.
-	home int
-	in   *ring
-	// state is the idle/queued/running machine documented above.
-	//
-	//ranvet:statemach wsIdle->wsQueued wsQueued->wsRunning wsRunning->wsQueued wsRunning->wsIdle
-	state atomic.Uint32
-	// queuedAt is the pool poll-epoch when the stream was last published
-	// — the staleness clock for hedged pickup.
-	queuedAt atomic.Uint64
-	// seq and cache are the stream's private slices of what shard.seq and
-	// worker.cache hold in the hash layout; the running worker swaps them
-	// in before processing (handoff ordered by the deque mutex).
-	seq   map[seqKey]uint8
-	cache *Cache
-}
+// Pool sizing. No deployment, experiment or benchmark ever asked for other
+// values, so these are constants rather than ScalePolicy knobs.
+const (
+	// wsStreamRing is the per-stream ingress ring capacity.
+	wsStreamRing = 256
+	// wsMaxStreams bounds distinct stream queues: the eAxC is 16 bits of
+	// outside input and a queue costs ~10 KB, so past this many a new id
+	// folds onto an existing queue (see addStream).
+	wsMaxStreams = 4096
+	// wsHedgePolls is the pool-wide idle-poll age after which a queued
+	// stream counts as stale for hedged pickup.
+	wsHedgePolls = 8
+)
 
 // wsDeque is one worker's stream backlog: owner pushes and pops at
 // opposite ends of a compacting slice, thieves take from the head (the
@@ -159,12 +146,12 @@ func (d *wsDeque) steal(buf []*streamQ, takeAll bool) int {
 }
 
 // takeStale takes the deque's oldest stream iff it has been queued for
-// at least `after` pool-wide idle polls — the hedged pickup.
-func (d *wsDeque) takeStale(now uint64, after int) *streamQ {
+// at least wsHedgePolls pool-wide idle polls — the hedged pickup.
+func (d *wsDeque) takeStale(now uint64) *streamQ {
 	d.mu.Lock()
 	if d.head < len(d.q) {
 		sq := d.q[d.head]
-		if now-sq.queuedAt.Load() >= uint64(after) {
+		if now-sq.queuedAt.Load() >= wsHedgePolls {
 			d.q[d.head] = nil
 			d.head++
 			if d.head == len(d.q) {
@@ -182,11 +169,9 @@ func (d *wsDeque) takeStale(now uint64, after int) *streamQ {
 // (producer goroutine only — the single-producer Ingress contract) and
 // one deque per shard worker.
 type wsPool struct {
-	eng    *Engine
-	policy ScalePolicy
-	// headroom is the per-stream C-plane reserve, Config.CPlaneHeadroom
-	// clamped to StreamRing/8.
-	headroom int
+	eng *Engine
+	// maxStreams is the fold bound, wsMaxStreams outside tests.
+	maxStreams int
 	// byKey/order are the stream table. Producer-owned: looked up and
 	// grown only from Ingress/TryIngress.
 	byKey map[uint32]*streamQ
@@ -202,17 +187,12 @@ type wsPool struct {
 }
 
 func newWSPool(e *Engine) *wsPool {
-	p := &wsPool{
-		eng:      e,
-		policy:   e.cfg.Scale,
-		headroom: e.cfg.CPlaneHeadroom,
-		byKey:    make(map[uint32]*streamQ),
-		deques:   make([]wsDeque, len(e.shards)),
+	return &wsPool{
+		eng:        e,
+		maxStreams: wsMaxStreams,
+		byKey:      make(map[uint32]*streamQ),
+		deques:     make([]wsDeque, len(e.shards)),
 	}
-	if max := p.policy.StreamRing / 8; p.headroom > max {
-		p.headroom = max
-	}
-	return p
 }
 
 // stream resolves a frame to its stream queue, creating it on first
@@ -229,7 +209,7 @@ func (p *wsPool) stream(frame []byte) *streamQ {
 }
 
 func (p *wsPool) addStream(key uint32) *streamQ {
-	if len(p.order) >= p.policy.MaxStreams {
+	if len(p.order) >= p.maxStreams {
 		// At capacity: fold the new key onto an existing queue. The fold
 		// is a pure function of the key and the (now frozen) pool size,
 		// so it is stable — per-eAxC FIFO holds through the shared queue.
@@ -237,16 +217,11 @@ func (p *wsPool) addStream(key uint32) *streamQ {
 		p.byKey[key] = sq
 		return sq
 	}
-	sq := &streamQ{
-		key: key,
-		// Fibonacci-style spread over the full id: unlike the RU-port
-		// nibble hash, distinct streams of one cell land on distinct
-		// home workers.
-		home:  int((key * 2654435761) >> 16 % uint32(len(p.deques))),
-		in:    newRing(p.policy.StreamRing),
-		seq:   make(map[seqKey]uint8),
-		cache: NewCache(p.eng.cfg.CacheMaxAge),
-	}
+	// Fibonacci-style spread over the full id: unlike the RU-port nibble
+	// hash, distinct streams of one cell land on distinct home workers.
+	// Derived from the key alone, so seeded runs are reproducible.
+	home := p.eng.shards[(key*2654435761)>>16%uint32(len(p.deques))]
+	sq := newStreamQ(home, wsStreamRing)
 	p.byKey[key] = sq
 	p.order = append(p.order, sq)
 	return sq
@@ -256,47 +231,24 @@ func (p *wsPool) addStream(key uint32) *streamQ {
 // goroutine only (like Ingress).
 func (p *wsPool) Streams() int { return len(p.order) }
 
-// wsIngress is Ingress/TryIngress for the work-stealing layout. account
-// selects the Ingress semantics (shed and drop with the loss counted on
-// the stream's home shard); without it the push is the backpressure
-// variant that never counts a drop.
-func (e *Engine) wsIngress(frame []byte, account bool) bool {
-	p := e.ws
-	sq := p.stream(frame)
-	home := e.shards[sq.home]
-	if account && p.headroom > 0 && len(sq.in.buf)-sq.in.queued() <= p.headroom {
-		if fh.PeekPlane(frame) != fh.PlaneC {
-			home.stats.shedUPlane.Add(1)
-			return false
-		}
-	}
-	var at sim.Time
-	if home.tracer != nil {
-		at = home.now()
-	}
-	if !sq.in.push(frame, at) {
-		if account {
-			home.stats.ringDrops.Add(1)
-		}
-		return false
-	}
-	if !e.parallel {
-		// Deterministic inline mode: drain the stream on the spot through
-		// its home worker — the state machine never engages, seeded runs
-		// replay bit-identically.
-		home.w.drainStream(sq, len(sq.in.buf))
-		return true
-	}
+// park puts a queued stream on shard id's deque, stamped with the poll
+// epoch its staleness is measured from.
+func (p *wsPool) park(sq *streamQ, id int) {
+	sq.queuedAt.Store(p.polls.Load())
+	p.deques[id].push(sq)
+}
+
+// publish makes a stream that just took a frame visible to the workers:
+// an idle stream goes on its home worker's deque (a queued or running one
+// is already somebody's), and a second worker, rotating, is woken besides
+// the home worker ingress wakes — if the home worker is buried in another
+// stream, some awake worker will steal or hedge this one.
+func (p *wsPool) publish(sq *streamQ) {
 	if sq.state.CompareAndSwap(wsIdle, wsQueued) {
-		sq.queuedAt.Store(p.polls.Load())
-		p.deques[sq.home].push(sq)
+		p.park(sq, sq.home.id)
 	}
-	home.wakeUp()
-	// Secondary wake, rotating: if the home worker is buried in another
-	// stream, some awake worker will steal or hedge this one.
 	p.rr++
-	e.shards[int(p.rr)%len(e.shards)].wakeUp()
-	return true
+	p.eng.shards[int(p.rr)%len(p.eng.shards)].wakeUp()
 }
 
 // next hands sh's worker its next stream: own deque, then steal-half
@@ -349,7 +301,7 @@ func (p *wsPool) next(sh *shard, final bool) *streamQ {
 	now := p.polls.Load()
 	for i := 1; i < n; i++ {
 		j := (self + i) % n
-		if sq := p.deques[j].takeStale(now, p.policy.HedgeAfterPolls); sq != nil {
+		if sq := p.deques[j].takeStale(now); sq != nil {
 			sh.stats.steals.Add(1)
 			sq.state.Store(wsRunning)
 			return sq
@@ -359,28 +311,20 @@ func (p *wsPool) next(sh *shard, final bool) *streamQ {
 }
 
 // runWS is the parallel-mode worker loop of the work-stealing layout —
-// the counterpart of worker.run. Same spin-then-block cadence; the
-// drain step claims whole streams instead of polling one ring.
+// the counterpart of worker.run. Same block-when-empty cadence; the drain
+// step claims whole streams instead of polling one ring.
 //
 //ranvet:hotpath
 //ranvet:goroutine shard-worker
 func (w *worker) runWS(stop <-chan struct{}) {
 	defer w.retire()
 	p := w.eng.ws
-	maxIdle := w.eng.cfg.Burst.MaxIdlePolls
-	idle := 0
 	for {
 		if sq := p.next(w.sh, false); sq != nil {
 			w.runStream(sq)
-			idle = 0
 			continue
 		}
 		p.polls.Add(1)
-		if idle++; idle < maxIdle {
-			runtime.Gosched()
-			continue
-		}
-		idle = 0
 		select {
 		case <-w.sh.wake:
 		case <-stop:
@@ -409,24 +353,11 @@ func (w *worker) runStream(sq *streamQ) {
 	p := w.eng.ws
 	if sq.in.queued() > 0 {
 		sq.state.Store(wsQueued)
-		sq.queuedAt.Store(p.polls.Load())
-		p.deques[sh.id].push(sq)
+		p.park(sq, sh.id)
 		return
 	}
 	sq.state.Store(wsIdle)
 	if sq.in.queued() > 0 && sq.state.CompareAndSwap(wsIdle, wsQueued) {
-		sq.queuedAt.Store(p.polls.Load())
-		p.deques[sh.id].push(sq)
+		p.park(sq, sh.id)
 	}
-}
-
-// drainStream swaps the stream's private seq map and A3 cache in and runs
-// up to max of its queued frames. The deterministic inline drain passes the
-// ring's capacity: the producer goroutine empties the stream through its
-// home worker immediately, so inline semantics (and bit-identical seeded
-// replays) are preserved.
-func (w *worker) drainStream(sq *streamQ, max int) {
-	w.cache = sq.cache
-	w.seq = sq.seq
-	w.drainRing(sq.in, max)
 }

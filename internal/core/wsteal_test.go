@@ -42,47 +42,25 @@ func TestScalePolicyValidation(t *testing.T) {
 	base := wsConfig(2)
 
 	cfg := base
-	cfg.Scale.StreamRing = MaxRingSize + 1
-	if _, err := NewEngine(s, cfg); !errors.Is(err, ErrBadRing) {
-		t.Fatalf("oversized stream ring: got %v, want ErrBadRing", err)
-	}
-	cfg = base
-	cfg.Scale.MaxStreams = MaxStreams + 1
-	if _, err := NewEngine(s, cfg); !errors.Is(err, ErrBadMaxStreams) {
-		t.Fatalf("oversized max streams: got %v, want ErrBadMaxStreams", err)
-	}
-	cfg = base
-	cfg.Scale.HedgeAfterPolls = -1
-	if _, err := NewEngine(s, cfg); !errors.Is(err, ErrBadHedge) {
-		t.Fatalf("negative hedge polls: got %v, want ErrBadHedge", err)
-	}
-	cfg = base
 	cfg.Supervise.StallAfter = 1
 	if _, err := NewEngine(s, cfg); !errors.Is(err, ErrScaleSupervise) {
 		t.Fatalf("watchdog + worksteal: got %v, want ErrScaleSupervise", err)
-	}
-	cfg = base
-	cfg.Supervise.ShedHighWater, cfg.Supervise.ShedLowWater = 0.9, 0.5
-	if _, err := NewEngine(s, cfg); !errors.Is(err, ErrScaleSupervise) {
-		t.Fatalf("AIMD + worksteal: got %v, want ErrScaleSupervise", err)
 	}
 
 	e, err := NewEngine(s, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := e.cfg.Scale
-	if got.StreamRing != DefaultStreamRing || got.MaxStreams != DefaultMaxStreams ||
-		got.HedgeAfterPolls != DefaultHedgePolls {
-		t.Fatalf("zero ScalePolicy resolved to %+v", got)
+	if e.ws == nil || e.ws.maxStreams != wsMaxStreams || e.shards[0].q != nil {
+		t.Fatalf("WorkSteal built pool %+v beside pinned queue %v", e.ws, e.shards[0].q)
 	}
-	// The hash layout's zero value must stay untouched by defaults.
+	// The zero value keeps the hash layout: a pinned queue per shard, no pool.
 	e2, err := NewEngine(s, Config{Name: "hash", Mode: ModeDPDK, App: &forwarder{}, CarrierPRBs: 106})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e2.ws != nil || e2.cfg.Scale != (ScalePolicy{}) {
-		t.Fatalf("zero Scale built a pool: %+v", e2.cfg.Scale)
+	if e2.ws != nil || e2.shards[0].q == nil {
+		t.Fatal("zero Scale built a pool or no pinned queue")
 	}
 }
 
@@ -92,7 +70,7 @@ func wsKeysHomedOn(t *testing.T, e *Engine, home, n int) []uint16 {
 	t.Helper()
 	keys := make([]uint16, 0, n)
 	for k := 0; k < 1<<16 && len(keys) < n; k++ {
-		if e.ws.addStream(uint32(k)).home == home {
+		if e.ws.addStream(uint32(k)).home.id == home {
 			keys = append(keys, uint16(k))
 		}
 	}
@@ -163,11 +141,11 @@ func TestWorkStealStealHalfAndHedge(t *testing.T) {
 	}
 
 	// Tier 3: the leave-one rule protects the singleton from stealing...
-	if sq := p.next(e.shards[3], false); sq != nil {
-		t.Fatalf("singleton stolen despite leave-one rule (stream %#x)", sq.key)
+	if p.next(e.shards[3], false) != nil {
+		t.Fatal("singleton stolen despite leave-one rule")
 	}
 	// ...until it turns stale, when an idle worker hedges it anyway.
-	p.polls.Add(uint64(e.cfg.Scale.HedgeAfterPolls))
+	p.polls.Add(wsHedgePolls)
 	sq = p.next(e.shards[3], false)
 	if sq == nil {
 		t.Fatal("stale singleton not hedged")
@@ -333,16 +311,15 @@ func TestWorkStealDeterminism(t *testing.T) {
 	}
 }
 
-// TestWorkStealFoldAtMaxStreams: beyond ScalePolicy.MaxStreams new eAxC
+// TestWorkStealFoldAtMaxStreams: beyond the pool's stream bound new eAxC
 // ids fold onto existing queues — bounded memory, FIFO intact.
 func TestWorkStealFoldAtMaxStreams(t *testing.T) {
 	s := sim.NewScheduler()
-	cfg := wsConfig(2)
-	cfg.Scale.MaxStreams = 2
-	e, err := NewEngine(s, cfg)
+	e, err := NewEngine(s, wsConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.ws.maxStreams = 2
 	var tx int
 	e.SetOutput(func([]byte) { tx++ })
 	for key := uint16(0); key < 8; key++ {
@@ -353,7 +330,7 @@ func TestWorkStealFoldAtMaxStreams(t *testing.T) {
 	}
 	s.Run()
 	if got := e.ws.Streams(); got != 2 {
-		t.Fatalf("stream queues = %d, want MaxStreams fold to 2", got)
+		t.Fatalf("stream queues = %d, want the bound's fold to 2", got)
 	}
 	if st := e.Snapshot(); st.RxFrames != 32 || st.TxFrames != 32 || tx != 32 {
 		t.Fatalf("stats = %+v tx=%d, want 32 frames through", st, tx)
@@ -362,7 +339,7 @@ func TestWorkStealFoldAtMaxStreams(t *testing.T) {
 
 // TestWorkStealPathAllocs extends the TestBurstPathAllocs gate to the
 // work-stealing admission path: at most one allocation per frame — the
-// fresh userspace packet — through wsIngress + claim + runStream, and
+// fresh userspace packet — through ingress + claim + runStream, and
 // zero for kernel-retired traffic.
 func TestWorkStealPathAllocs(t *testing.T) {
 	const batch = 32
@@ -373,7 +350,7 @@ func TestWorkStealPathAllocs(t *testing.T) {
 		defer func() { e.parallel = false }()
 		b := fh.NewBuilder(duMAC, ruMAC, 6)
 		frame := uplaneFrame(t, b, oran.Downlink, 0, 3, 100)
-		home := e.shards[e.ws.stream(frame).home]
+		home := e.route(frame).home
 		fill := func() {
 			for i := 0; i < batch; i++ {
 				if !e.TryIngress(frame) {

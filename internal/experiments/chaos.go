@@ -43,7 +43,7 @@ func Chaos() *Table {
 	chaosReorderPRACH(t)
 	chaosPanicIsolation(t)
 	chaosStallDetection(t)
-	chaosShedAIMD(t)
+	chaosShed(t)
 	return t
 }
 
@@ -367,61 +367,51 @@ func chaosStallDetection(t *Table) {
 	}
 }
 
-// chaosShedAIMD: offered load against a wedged consumer, AIMD shedding
-// versus the static C-plane headroom. The worker is deterministically
-// wedged on its first frame, then the ring absorbs the offered mix (6/8
-// U-plane data, 1/8 PRACH, 1/8 C-plane) with no consumer: the AIMD
-// controller should shed data first, touch PRACH only past sustained
-// overload, and never shed C-plane.
-func chaosShedAIMD(t *Table) {
-	policies := []struct {
-		name string
-		sup  core.SupervisePolicy
-	}{
-		{"AIMD low 0.25 / high 0.75", core.SupervisePolicy{ShedHighWater: 0.75, ShedLowWater: 0.25}},
-		{"static headroom (1/8 ring)", core.SupervisePolicy{}},
-	}
-	for _, pol := range policies {
-		for _, offered := range []int{96, 192, 288} {
-			const ring = 256
-			s := sim.NewScheduler()
-			app, stall := fault.StallFor(supForward{}, 1)
-			eng, err := core.NewEngine(s, core.Config{
-				Name: "sup-shed", Mode: core.ModeDPDK, Cores: 1, App: app,
-				CarrierPRBs: 106, RingSize: ring, Supervise: pol.sup,
-			})
-			if err != nil {
-				panic(err)
-			}
-			if err := eng.Start(); err != nil {
-				panic(err)
-			}
-			b := fh.NewBuilder(eth.MAC{2, 0, 0, 0, 0, 1}, eth.MAC{2, 0, 0, 0, 0, 2}, -1)
-			// Wedge the worker on a sacrificial frame so ring occupancy
-			// during the offered burst is deterministic.
-			eng.Ingress(supUplane(b, -1))
-			for i := 0; i < 1<<22 && !stall.Stalled(); i++ {
-				runtime.Gosched()
-			}
-			for i := 0; i < offered; i++ {
-				switch i % 8 {
-				case 3:
-					eng.Ingress(supPRACH(b, int16(i)))
-				case 7:
-					eng.Ingress(supCPlane(b, int16(i)))
-				default:
-					eng.Ingress(supUplane(b, int16(i)))
-				}
-			}
-			st := eng.Snapshot()
-			stall.Release()
-			eng.Stop()
-			t.AddRow(
-				fmt.Sprintf("overload shedding, %s", pol.name),
-				fmt.Sprintf("%d frames at a dead consumer (ring %d)", offered, ring),
-				fmt.Sprintf("shed %d data + %d PRACH, dropped %d", st.ShedUPlane, st.ShedPRACH, st.RingDrops),
-				fmt.Sprintf("occupancy offered %.2f of ring; C-plane never shed", float64(offered)/ring))
+// chaosShed: offered load against a wedged consumer. The worker is
+// deterministically wedged on its first frame, then the ring absorbs the
+// offered mix (6/8 U-plane data, 1/8 PRACH, 1/8 C-plane) with no consumer:
+// admission should shed data inside the ring's last eighth, touch PRACH
+// only inside the last sixteenth, and never shed C-plane.
+func chaosShed(t *Table) {
+	for _, offered := range []int{96, 192, 288} {
+		const ring = 256
+		s := sim.NewScheduler()
+		app, stall := fault.StallFor(supForward{}, 1)
+		eng, err := core.NewEngine(s, core.Config{
+			Name: "sup-shed", Mode: core.ModeDPDK, Cores: 1, App: app,
+			CarrierPRBs: 106, RingSize: ring,
+		})
+		if err != nil {
+			panic(err)
 		}
+		if err := eng.Start(); err != nil {
+			panic(err)
+		}
+		b := fh.NewBuilder(eth.MAC{2, 0, 0, 0, 0, 1}, eth.MAC{2, 0, 0, 0, 0, 2}, -1)
+		// Wedge the worker on a sacrificial frame so ring occupancy
+		// during the offered burst is deterministic.
+		eng.Ingress(supUplane(b, -1))
+		for i := 0; i < 1<<22 && !stall.Stalled(); i++ {
+			runtime.Gosched()
+		}
+		for i := 0; i < offered; i++ {
+			switch i % 8 {
+			case 3:
+				eng.Ingress(supPRACH(b, int16(i)))
+			case 7:
+				eng.Ingress(supCPlane(b, int16(i)))
+			default:
+				eng.Ingress(supUplane(b, int16(i)))
+			}
+		}
+		st := eng.Snapshot()
+		stall.Release()
+		eng.Stop()
+		t.AddRow(
+			"overload shedding, reserve 1/8, PRACH at 1/16",
+			fmt.Sprintf("%d frames at a dead consumer (ring %d)", offered, ring),
+			fmt.Sprintf("shed %d data + %d PRACH, dropped %d", st.ShedUPlane, st.ShedPRACH, st.RingDrops),
+			fmt.Sprintf("occupancy offered %.2f of ring; C-plane never shed", float64(offered)/ring))
 	}
 	t.Note("supervision scenarios (panic, stall, shed) are deterministic by construction: fixed injector schedules, virtual-time polls — except the watchdog deadline, which is wall time and reported only as met or missed")
 }

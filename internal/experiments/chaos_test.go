@@ -6,7 +6,7 @@ import (
 )
 
 // TestSuperviseScenarios smoke-runs the supervision rows of the chaos
-// experiment — panic isolation, stall watchdog, AIMD shedding — without
+// experiment — panic isolation, stall watchdog, overload shedding — without
 // the expensive testbed scenarios. These are the `make chaos-supervise`
 // regressions: they must complete (no crash, no hang) and report the
 // supervision outcomes the design promises.
@@ -14,9 +14,9 @@ func TestSuperviseScenarios(t *testing.T) {
 	tbl := &Table{ID: "supervise", Columns: []string{"scenario", "fault script", "recovery / accuracy", "detail"}}
 	chaosPanicIsolation(tbl)
 	chaosStallDetection(tbl)
-	chaosShedAIMD(tbl)
-	if len(tbl.Rows) != 2+3+6 {
-		t.Fatalf("got %d rows, want 11:\n%s", len(tbl.Rows), tbl)
+	chaosShed(tbl)
+	if len(tbl.Rows) != 2+3+3 {
+		t.Fatalf("got %d rows, want 8:\n%s", len(tbl.Rows), tbl)
 	}
 	for _, row := range tbl.Rows {
 		switch {
@@ -29,10 +29,15 @@ func TestSuperviseScenarios(t *testing.T) {
 				t.Errorf("%s: %q (%s), want one restart within bound", row[0], row[2], row[3])
 			}
 		case strings.HasPrefix(row[0], "overload shedding"):
-			// The 96-frame offered load sits below every watermark: both
-			// policies must shed nothing there (hysteresis).
-			if strings.Contains(row[1], "96 frames") && row[2] != "shed 0 data + 0 PRACH, dropped 0" {
-				t.Errorf("%s @ light load: %q, want zero sheds", row[0], row[2])
+			// Up to 192 frames the ring's reserved eighth is never
+			// reached: nothing may be shed. At 288 the data inside it is
+			// given up, and neither PRACH nor C-plane.
+			want := "shed 0 data + 0 PRACH, dropped 0"
+			if strings.Contains(row[1], "288 frames") {
+				want = "shed 48 data + 0 PRACH, dropped 0"
+			}
+			if row[2] != want {
+				t.Errorf("%s, %s: %q, want %q", row[0], row[1], row[2], want)
 			}
 		}
 	}

@@ -121,95 +121,60 @@ func (p *Packet) CPlane(msg *oran.CPlaneMsg, carrierPRBs int) error {
 // EAxC returns the extended antenna-carrier identifier of the packet.
 func (p *Packet) EAxC() ecpri.PcID { return p.Ecpri.PcID }
 
+// peekECPRI is the header walk the raw-frame peeks share: it reads only the
+// fixed-offset Ethernet type (skipping one optional 802.1Q tag) and
+// returns the frame from its eCPRI common header on — nil when the frame
+// is too short to tell or not eCPRI. Whether the 8-byte header is all
+// there is the caller's check.
+func peekECPRI(frame []byte) []byte {
+	if len(frame) < eth.HeaderLen {
+		return nil
+	}
+	switch binary.BigEndian.Uint16(frame[12:14]) {
+	case eth.TypeECPRI:
+		return frame[eth.HeaderLen:]
+	case eth.TypeVLAN:
+		if len(frame) >= eth.VLANHeaderLen && binary.BigEndian.Uint16(frame[16:18]) == eth.TypeECPRI {
+			return frame[eth.VLANHeaderLen:]
+		}
+	}
+	return nil
+}
+
 // PeekEAxC extracts the eCPRI eAxC identifier from a raw frame without a
 // full decode — the RSS-style peek a NIC performs to spread flows across
-// receive queues. It reads only the fixed-offset Ethernet type (skipping
-// one optional 802.1Q tag) and the PC_ID field of the eCPRI common
-// header. ok is false when the frame is too short or not eCPRI; such
-// frames carry no flow identity and may be steered anywhere.
+// receive queues. Beyond the header walk it reads only the PC_ID field of
+// the eCPRI common header. ok is false when the frame is too short or not
+// eCPRI; such frames carry no flow identity and may be steered anywhere.
 func PeekEAxC(frame []byte) (uint16, bool) {
-	if len(frame) < eth.HeaderLen {
+	h := peekECPRI(frame)
+	if len(h) < ecpri.HeaderLen {
 		return 0, false
-	}
-	off := eth.HeaderLen
-	et := binary.BigEndian.Uint16(frame[12:14])
-	if et == eth.TypeVLAN {
-		if len(frame) < eth.VLANHeaderLen {
-			return 0, false
-		}
-		off = eth.VLANHeaderLen
-		et = binary.BigEndian.Uint16(frame[16:18])
 	}
 	// PC_ID occupies bytes 4-5 of the 8-byte eCPRI common header.
-	if et != eth.TypeECPRI || len(frame) < off+ecpri.HeaderLen {
-		return 0, false
-	}
-	return binary.BigEndian.Uint16(frame[off+4 : off+6]), true
+	return binary.BigEndian.Uint16(h[4:6]), true
 }
 
-// PeekPlane classifies a raw frame as C-plane or U-plane without a full
-// decode — the cheap peek the engine's overload-shedding policy uses to
-// admit C-plane frames when an ingress ring nears overflow. It reads only
-// the Ethernet type (skipping one optional 802.1Q tag) and the eCPRI
-// message-type byte. Frames too short or not eCPRI are PlaneUnknown.
-func PeekPlane(frame []byte) Plane {
-	if len(frame) < eth.HeaderLen {
-		return PlaneUnknown
-	}
-	off := eth.HeaderLen
-	et := binary.BigEndian.Uint16(frame[12:14])
-	if et == eth.TypeVLAN {
-		if len(frame) < eth.VLANHeaderLen {
-			return PlaneUnknown
-		}
-		off = eth.VLANHeaderLen
-		et = binary.BigEndian.Uint16(frame[16:18])
-	}
-	if et != eth.TypeECPRI || len(frame) < off+ecpri.HeaderLen {
-		return PlaneUnknown
-	}
-	switch ecpri.MessageType(frame[off+1]) {
-	case ecpri.MsgIQData:
-		return PlaneU
-	case ecpri.MsgRTControl:
-		return PlaneC
-	}
-	return PlaneUnknown
-}
-
-// PeekShedClass classifies a raw frame for the adaptive shedder: the
-// plane, and for U-plane frames whether the payload is PRACH (timing
-// filter index 1), which the shedder sacrifices last. Like PeekPlane it
-// reads only fixed-offset bytes — the Ethernet type (skipping one
-// optional 802.1Q tag), the eCPRI message-type byte, and the first
-// payload byte holding the O-RAN filter index — so it is cheap enough
-// for the ingress admission path. prach is meaningful only for PlaneU.
+// PeekShedClass classifies a raw frame for ingress admission, which sheds
+// by traffic class when a queue runs out of room: the plane, and for
+// U-plane frames whether the payload is PRACH (timing filter index 1),
+// the U-plane class shed last. Beyond the header walk it reads only the
+// eCPRI message-type byte and the first payload byte holding the O-RAN
+// filter index, so it is cheap enough for the admission path. Frames too
+// short or not eCPRI are PlaneUnknown; prach is meaningful only for
+// PlaneU.
 func PeekShedClass(frame []byte) (plane Plane, prach bool) {
-	if len(frame) < eth.HeaderLen {
+	h := peekECPRI(frame)
+	if len(h) < ecpri.HeaderLen {
 		return PlaneUnknown, false
 	}
-	off := eth.HeaderLen
-	et := binary.BigEndian.Uint16(frame[12:14])
-	if et == eth.TypeVLAN {
-		if len(frame) < eth.VLANHeaderLen {
-			return PlaneUnknown, false
-		}
-		off = eth.VLANHeaderLen
-		et = binary.BigEndian.Uint16(frame[16:18])
-	}
-	if et != eth.TypeECPRI || len(frame) < off+ecpri.HeaderLen {
-		return PlaneUnknown, false
-	}
-	switch ecpri.MessageType(frame[off+1]) {
+	switch ecpri.MessageType(h[1]) {
 	case ecpri.MsgRTControl:
 		return PlaneC, false
 	case ecpri.MsgIQData:
-		if len(frame) < off+ecpri.HeaderLen+1 {
-			return PlaneU, false
-		}
 		// Byte 0 of the O-RAN application header: dataDirection,
 		// payloadVersion, filterIndex (low nibble). PRACH = index 1.
-		return PlaneU, frame[off+ecpri.HeaderLen]&0x0f == 1
+		return PlaneU, len(h) > ecpri.HeaderLen && h[ecpri.HeaderLen]&0x0f == 1
 	}
 	return PlaneUnknown, false
 }

@@ -281,6 +281,51 @@ func TestPeekEAxC(t *testing.T) {
 	}
 }
 
+// TestPeekShedClass: ingress admission sheds by this classification, so it
+// must tell PRACH from U-plane data from C-plane with and without an
+// 802.1Q tag, and claim nothing about frames it cannot read.
+func TestPeekShedClass(t *testing.T) {
+	pc := ecpri.PcID{RUPort: 5}
+	prach := sampleUPlane()
+	prach.Timing.Direction, prach.Timing.FilterIndex = oran.Uplink, 1
+	// A C-plane message for the PRACH filter is still C-plane.
+	cPrach := sampleCPlane()
+	cPrach.Timing.FilterIndex = 1
+	for _, vlan := range []int{-1, 6} {
+		b := NewBuilder(duMAC, ruMAC, vlan)
+		for _, c := range []struct {
+			name  string
+			frame []byte
+			plane Plane
+			prach bool
+		}{
+			{"PRACH", b.UPlane(pc, prach), PlaneU, true},
+			{"data", b.UPlane(pc, sampleUPlane()), PlaneU, false},
+			{"C-plane", b.CPlane(pc, sampleCPlane()), PlaneC, false},
+			{"C-plane for PRACH", b.CPlane(pc, cPrach), PlaneC, false},
+		} {
+			if plane, isPrach := PeekShedClass(c.frame); plane != c.plane || isPrach != c.prach {
+				t.Errorf("vlan %d, %s: PeekShedClass = (%v, %v), want (%v, %v)", vlan, c.name, plane, isPrach, c.plane, c.prach)
+			}
+		}
+		// Cut inside the eCPRI header there is no class to read; cut right
+		// after it the plane is known and there is no filter index.
+		frame := b.UPlane(pc, prach)
+		hdr := len(frame) - prach.EncodedLen()
+		if plane, isPrach := PeekShedClass(frame[:hdr-1]); plane != PlaneUnknown || isPrach {
+			t.Errorf("vlan %d: truncated eCPRI header classified as (%v, %v)", vlan, plane, isPrach)
+		}
+		if plane, isPrach := PeekShedClass(frame[:hdr]); plane != PlaneU || isPrach {
+			t.Errorf("vlan %d: frame without payload classified as (%v, %v), want (U-Plane, false)", vlan, plane, isPrach)
+		}
+	}
+	notEcpri := NewBuilder(duMAC, ruMAC, -1).UPlane(pc, prach)
+	notEcpri[12], notEcpri[13] = 0x08, 0x00 // IPv4 ethertype
+	if plane, isPrach := PeekShedClass(notEcpri); plane != PlaneUnknown || isPrach {
+		t.Errorf("non-eCPRI frame classified as (%v, %v)", plane, isPrach)
+	}
+}
+
 // SetEAxC on a packet that was never decoded used to panic with a bare
 // negative-index runtime error deep in the frame write; it must fail with
 // a message that names the misuse (ranvet: wirebounds hardening).

@@ -93,10 +93,17 @@ func FuzzDissect(f *testing.F) {
 		if eaxc, ok := PeekEAxC(data); !ok || eaxc != p.Ecpri.PcID.Uint16() {
 			t.Fatalf("PeekEAxC = (%#x, %v), decode says %#x", eaxc, ok, p.Ecpri.PcID.Uint16())
 		}
-		if pl := PeekPlane(data); pl != p.Plane() {
-			t.Fatalf("PeekPlane = %v, decode says %v", pl, p.Plane())
+		pl, prach := PeekShedClass(data)
+		if pl != p.Plane() {
+			t.Fatalf("PeekShedClass plane = %v, decode says %v", pl, p.Plane())
 		}
-		_, _ = p.Timing()
+		// PRACH is "U-plane with filter index 1". A timing header too short
+		// to decode has no filter index to compare with (the engine drops
+		// such a frame as invalid whichever class it was admitted under).
+		tm, err := p.Timing()
+		if want := pl == PlaneU && tm.FilterIndex == 1; prach != want && (err == nil || pl != PlaneU) {
+			t.Fatalf("PeekShedClass prach = %v on %v, decode says filter index %d (%v)", prach, pl, tm.FilterIndex, err)
+		}
 		_, _ = KeyOf(&p)
 		_ = p.String()
 		switch p.Plane() {

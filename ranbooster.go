@@ -73,8 +73,8 @@ type (
 	// frame — so plain Apps keep the per-frame Handle contract unchanged.
 	BurstApp = core.BurstApp
 	// BurstPolicy tunes the burst datapath (EngineConfig.Burst): batch
-	// size, worker idle-poll tolerance, kernel fast-path retirement. The
-	// zero value keeps the defaults.
+	// size and kernel fast-path retirement. The zero value keeps the
+	// defaults.
 	BurstPolicy = core.BurstPolicy
 	// Context exposes the four RANBooster actions plus telemetry.
 	Context = core.Context
@@ -97,9 +97,9 @@ type (
 	// KernelRule is one rule of a KernelProgram.
 	KernelRule = core.Rule
 	// SupervisePolicy tunes engine supervision (EngineConfig.Supervise):
-	// App panic isolation with a per-shard circuit breaker, the shard
-	// stall watchdog behind Engine.Supervise, and AIMD overload shedding.
-	// The zero value disables all three.
+	// App panic isolation with a per-shard circuit breaker and the shard
+	// stall watchdog behind Engine.Supervise. The zero value disables
+	// both.
 	SupervisePolicy = core.SupervisePolicy
 	// ScalePolicy selects the engine's admission layout
 	// (EngineConfig.Scale): the zero value keeps the static eAxC→shard
@@ -127,8 +127,6 @@ var (
 	ErrBadCores = core.ErrBadCores
 	// ErrBadBatch rejects a burst batch size outside the supported range.
 	ErrBadBatch = core.ErrBadBatch
-	// ErrBadIdlePolls rejects a negative BurstPolicy.MaxIdlePolls.
-	ErrBadIdlePolls = core.ErrBadIdlePolls
 	// ErrSerialApp refuses parallel workers for a SerialApp on a
 	// multi-shard engine.
 	ErrSerialApp = core.ErrSerialApp
@@ -140,20 +138,11 @@ var (
 	ErrBadCooldown = core.ErrBadCooldown
 	// ErrBadStallAfter rejects a negative SupervisePolicy.StallAfter.
 	ErrBadStallAfter = core.ErrBadStallAfter
-	// ErrBadShedWater rejects AIMD shed watermarks outside
-	// 0 <= low < high <= 1.
-	ErrBadShedWater = core.ErrBadShedWater
 	// ErrBadRing rejects a ring capacity out of range — the engine's
-	// RingSize or a ScalePolicy.StreamRing.
+	// RingSize or TraceRing.
 	ErrBadRing = core.ErrBadRing
-	// ErrBadMaxStreams rejects a ScalePolicy.MaxStreams outside the
-	// supported range.
-	ErrBadMaxStreams = core.ErrBadMaxStreams
-	// ErrBadHedge rejects a negative ScalePolicy.HedgeAfterPolls.
-	ErrBadHedge = core.ErrBadHedge
-	// ErrScaleSupervise rejects combining work-stealing admission with a
-	// supervision mechanism that assumes the static shard layout (the
-	// stall watchdog, AIMD shedding).
+	// ErrScaleSupervise rejects combining work-stealing admission with
+	// the shard stall watchdog, which does not follow a stolen stream.
 	ErrScaleSupervise = core.ErrScaleSupervise
 )
 
