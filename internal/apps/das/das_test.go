@@ -9,6 +9,7 @@ import (
 	"ranbooster/internal/ecpri"
 	"ranbooster/internal/eth"
 	"ranbooster/internal/fh"
+	"ranbooster/internal/fh/fhtest"
 	"ranbooster/internal/iq"
 	"ranbooster/internal/oran"
 	"ranbooster/internal/sim"
@@ -32,7 +33,7 @@ func newDAS(t *testing.T) (*sim.Scheduler, *core.Engine, *App, *[][]byte) {
 		t.Fatal(err)
 	}
 	var out [][]byte
-	eng.SetOutput(func(f []byte) { out = append(out, f) })
+	eng.SetOutput(fhtest.CopyTo(&out))
 	return s, eng, app, &out
 }
 

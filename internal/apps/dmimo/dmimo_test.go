@@ -8,6 +8,7 @@ import (
 	"ranbooster/internal/ecpri"
 	"ranbooster/internal/eth"
 	"ranbooster/internal/fh"
+	"ranbooster/internal/fh/fhtest"
 	"ranbooster/internal/oran"
 	"ranbooster/internal/phy"
 	"ranbooster/internal/sim"
@@ -44,7 +45,7 @@ func newEngine(t *testing.T, mode core.Mode, app *App) (*sim.Scheduler, *core.En
 		t.Fatal(err)
 	}
 	var out [][]byte
-	eng.SetOutput(func(f []byte) { out = append(out, f) })
+	eng.SetOutput(fhtest.CopyTo(&out))
 	return s, eng, &out
 }
 

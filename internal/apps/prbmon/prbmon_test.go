@@ -9,6 +9,7 @@ import (
 	"ranbooster/internal/ecpri"
 	"ranbooster/internal/eth"
 	"ranbooster/internal/fh"
+	"ranbooster/internal/fh/fhtest"
 	"ranbooster/internal/iq"
 	"ranbooster/internal/oran"
 	"ranbooster/internal/phy"
@@ -39,7 +40,7 @@ func newMon(t *testing.T, method Estimator) (*sim.Scheduler, *core.Engine, *App,
 		t.Fatal(err)
 	}
 	var out [][]byte
-	eng.SetOutput(func(f []byte) { out = append(out, f) })
+	eng.SetOutput(fhtest.CopyTo(&out))
 	return s, eng, app, &out
 }
 

@@ -8,6 +8,7 @@ import (
 	"ranbooster/internal/ecpri"
 	"ranbooster/internal/eth"
 	"ranbooster/internal/fh"
+	"ranbooster/internal/fh/fhtest"
 	"ranbooster/internal/iq"
 	"ranbooster/internal/oran"
 	"ranbooster/internal/phy"
@@ -53,7 +54,7 @@ func fixture(t *testing.T, aligned bool) (*sim.Scheduler, *core.Engine, *App, *[
 		t.Fatal(err)
 	}
 	var out [][]byte
-	eng.SetOutput(func(f []byte) { out = append(out, f) })
+	eng.SetOutput(fhtest.CopyTo(&out))
 	return s, eng, app, &out, ru, carA, carB
 }
 

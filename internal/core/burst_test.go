@@ -11,6 +11,7 @@ import (
 	"ranbooster/internal/bfp"
 	"ranbooster/internal/ecpri"
 	"ranbooster/internal/fh"
+	"ranbooster/internal/fh/fhtest"
 	"ranbooster/internal/iq"
 	"ranbooster/internal/oran"
 	"ranbooster/internal/sim"
@@ -240,7 +241,7 @@ func TestKernelRetireByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		var out [][]byte
-		e.SetOutput(func(f []byte) { out = append(out, append([]byte(nil), f...)) })
+		e.SetOutput(fhtest.CopyTo(&out))
 		b := fh.NewBuilder(duMAC, ruMAC, 6)
 		for i := 0; i < 5; i++ {
 			e.Ingress(uplaneFrame(t, b, oran.Downlink, 0, uint8(i), 77))

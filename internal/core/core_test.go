@@ -10,6 +10,7 @@ import (
 	"ranbooster/internal/ecpri"
 	"ranbooster/internal/eth"
 	"ranbooster/internal/fh"
+	"ranbooster/internal/fh/fhtest"
 	"ranbooster/internal/iq"
 	"ranbooster/internal/oran"
 	"ranbooster/internal/sim"
@@ -72,7 +73,7 @@ func newDPDK(t *testing.T, app App) (*sim.Scheduler, *Engine, *[][]byte) {
 		t.Fatal(err)
 	}
 	var out [][]byte
-	e.SetOutput(func(f []byte) { out = append(out, f) })
+	e.SetOutput(fhtest.CopyTo(&out))
 	return s, e, &out
 }
 

@@ -12,6 +12,7 @@ import (
 	"ranbooster/internal/bfp"
 	"ranbooster/internal/ecpri"
 	"ranbooster/internal/fh"
+	"ranbooster/internal/fh/fhtest"
 	"ranbooster/internal/iq"
 	"ranbooster/internal/oran"
 	"ranbooster/internal/sim"
@@ -148,8 +149,9 @@ func runDiff(t *testing.T, cfg Config, corpus []diffFrame, batch int) *diffResul
 	}
 	res := &diffResult{}
 	if batch == 0 {
+		collect := fhtest.CopyTo(&res.frames)
 		e.SetOutput(func(f []byte) {
-			res.frames = append(res.frames, append([]byte(nil), f...))
+			collect(f)
 			res.at = append(res.at, s.Now())
 		})
 		for _, cf := range corpus {
@@ -158,7 +160,7 @@ func runDiff(t *testing.T, cfg Config, corpus []diffFrame, batch int) *diffResul
 		}
 		s.Run()
 	} else {
-		e.SetOutput(func(f []byte) { res.frames = append(res.frames, append([]byte(nil), f...)) })
+		e.SetOutput(fhtest.CopyTo(&res.frames))
 		chunk := make([][]byte, 0, batch)
 		for i, cf := range corpus {
 			chunk = append(chunk, append([]byte(nil), cf.frame...))

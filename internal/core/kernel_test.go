@@ -6,6 +6,7 @@ import (
 
 	"ranbooster/internal/ecpri"
 	"ranbooster/internal/fh"
+	"ranbooster/internal/fh/fhtest"
 	"ranbooster/internal/oran"
 	"ranbooster/internal/sim"
 )
@@ -21,7 +22,7 @@ func newXDP(t *testing.T, prog *KernelProgram, app App) (*sim.Scheduler, *Engine
 		t.Fatal(err)
 	}
 	var out [][]byte
-	e.SetOutput(func(f []byte) { out = append(out, f) })
+	e.SetOutput(fhtest.CopyTo(&out))
 	return s, e, &out
 }
 

@@ -13,6 +13,7 @@ import (
 	"ranbooster/internal/bfp"
 	"ranbooster/internal/ecpri"
 	"ranbooster/internal/fh"
+	"ranbooster/internal/fh/fhtest"
 	"ranbooster/internal/iq"
 	"ranbooster/internal/oran"
 	"ranbooster/internal/sim"
@@ -94,7 +95,7 @@ func TestPanicIsolationQuarantinesFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out [][]byte
-	e.SetOutput(func(f []byte) { out = append(out, f) })
+	e.SetOutput(fhtest.CopyTo(&out))
 	b := fh.NewBuilder(duMAC, ruMAC, 6)
 	frames := [][]byte{
 		uplaneFrame(t, b, oran.Downlink, 0, 1, 10),
@@ -239,7 +240,7 @@ func TestBurstPanicQuarantinesBurst(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out [][]byte
-	e.SetOutput(func(f []byte) { out = append(out, f) })
+	e.SetOutput(fhtest.CopyTo(&out))
 	b := fh.NewBuilder(duMAC, ruMAC, 6)
 	frames := make([][]byte, 4)
 	for i := range frames {
@@ -455,9 +456,10 @@ func TestRestartRacesPreemptedWorker(t *testing.T) {
 	}
 	var outMu sync.Mutex
 	var out [][]byte
+	collect := fhtest.CopyTo(&out)
 	e.SetOutput(func(f []byte) {
 		outMu.Lock()
-		out = append(out, f)
+		collect(f)
 		outMu.Unlock()
 	})
 	if err := e.Start(); err != nil {

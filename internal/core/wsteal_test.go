@@ -11,6 +11,7 @@ import (
 	"ranbooster/internal/bfp"
 	"ranbooster/internal/ecpri"
 	"ranbooster/internal/fh"
+	"ranbooster/internal/fh/fhtest"
 	"ranbooster/internal/iq"
 	"ranbooster/internal/oran"
 	"ranbooster/internal/sim"
@@ -273,7 +274,7 @@ func TestWorkStealDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		var out [][]byte
-		e.SetOutput(func(f []byte) { out = append(out, append([]byte(nil), f...)) })
+		e.SetOutput(fhtest.CopyTo(&out))
 		rng := sim.NewRNG(42)
 		builders := map[uint16]*fh.Builder{}
 		next := map[uint16]int{}
