@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet ranvet loc lint test race short chaos chaos-supervise soak scale-smoke bench ranbench-selftest fuzz check
+.PHONY: all build vet ranvet loc lint test race short chaos chaos-supervise soak scale-smoke bench ranbench-selftest allocs fuzz check
 
 all: check
 
@@ -95,6 +95,12 @@ bench:
 ranbench-selftest:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
+
+# allocs runs only the steady-state allocation gates, verbosely: every gate
+# is pinned at zero (the frame pool recycles what the datapath makes) and
+# logs the figure it measured.
+allocs:
+	$(GO) test -count=1 -v -run 'SteadyStateAllocs|PathAllocs' ./internal/core ./internal/apps/...
 
 # FUZZTIME bounds each fuzz target; the wire-format dissectors must never
 # panic however mangled the frame, and the one-pass BFP merge must match

@@ -162,10 +162,11 @@ func (a *App) handleUpstream(ctx *core.Context, pkt *fh.Packet) error {
 // compressed sources and the Transcoder's one-pass MergeGrid decodes, sums
 // and re-encodes them a PRB at a time, whatever mix of compression
 // parameters the RUs answered with. The source list, the re-encoded
-// payloads and both U-plane messages come from the shard's pooled scratch,
-// so a steady-state merge performs zero allocations (fh.Rebuild copies the
-// payloads out into the fresh frame, so nothing from the arena outlives
-// the Handle call).
+// payloads and both U-plane messages come from the shard's pooled scratch
+// and the output frame from the worker's frame pool, so a steady-state
+// merge performs zero allocations (ctx.Rebuild copies the payloads out
+// into the output frame, so nothing from the arena outlives the Handle
+// call; the cached packets and the output are recycled after it).
 func (a *App) merge(ctx *core.Context, pkts []*fh.Packet) (*fh.Packet, error) {
 	tx := ctx.Transcoder()
 	tx.Reset()
@@ -219,5 +220,5 @@ func (a *App) merge(ctx *core.Context, pkts []*fh.Packet) (*fh.Packet, error) {
 		totalPRB += s.NumPRB
 	}
 	ctx.ChargeMerge(totalPRB, k)
-	return fh.Rebuild(base, baseMsg.AppendTo), nil
+	return ctx.Rebuild(base, baseMsg.AppendTo), nil
 }

@@ -49,7 +49,7 @@ func (a *App) prachCPlane(ctx *core.Context, pkt *fh.Packet, t oran.Timing) erro
 			out.Sections = append(out.Sections, s)
 		}
 	}
-	merged := fh.Rebuild(pkts[0], out.AppendTo)
+	merged := ctx.Rebuild(pkts[0], out.AppendTo)
 	a.PRACHMuxed.Add(1)
 	return ctx.Redirect(merged, a.cfg.RU, a.cfg.MAC, -1)
 }
@@ -79,7 +79,7 @@ func (a *App) prachULDemux(ctx *core.Context, pkt *fh.Packet, t oran.Timing) err
 			continue
 		}
 		replica := ctx.Replicate(pkt)
-		rebuilt := fh.Rebuild(replica, out.AppendTo)
+		rebuilt := ctx.Rebuild(replica, out.AppendTo)
 		pc := rebuilt.EAxC()
 		pc.DUPort = du.PortID
 		rebuilt.SetEAxC(pc)

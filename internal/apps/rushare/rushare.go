@@ -167,8 +167,10 @@ func (a *App) dataCPlane(ctx *core.Context, pkt *fh.Packet, t oran.Timing, idx i
 	if !first {
 		return nil
 	}
-	//ranvet:allow alloc widening closure runs once per (slot, port): only the first C-plane request is widened
-	widened, err := ctx.ModifyCPlane(pkt.Clone(), a.cfg.DUs[idx].Carrier.NumPRB, func(msg *oran.CPlaneMsg) error {
+	// The cached request stays as the DU sent it: ModifyCPlane re-encodes
+	// into a packet of its own.
+	//ranvet:allow alloc widening closure runs once per (slot, port), and ModifyCPlane does not retain it: its environment stays on the stack
+	widened, err := ctx.ModifyCPlane(pkt, a.cfg.DUs[idx].Carrier.NumPRB, func(msg *oran.CPlaneMsg) error {
 		for i := range msg.Sections {
 			msg.Sections[i].StartPRB = 0
 			msg.Sections[i].NumPRB = a.cfg.RUCarrier.NumPRB
@@ -220,9 +222,9 @@ func (a *App) duSet(pkts []*fh.Packet) uint64 {
 func subset(needed, have uint64) bool { return needed&^have == 0 }
 
 // muxDL combines the cached DL U-plane packets into one full-position
-// message on the RU grid. Relocated payloads and the combined message all
-// come from the shard's pooled scratch, so a steady-state mux allocates
-// only the rebuilt output frame.
+// message on the RU grid. Relocated payloads and the combined message come
+// from the shard's pooled scratch and the output frame from the worker's
+// frame pool, so a steady-state mux allocates nothing.
 func (a *App) muxDL(ctx *core.Context, pkts []*fh.Packet, t oran.Timing) (*fh.Packet, error) {
 	ctx.Transcoder().Reset()
 	out := ctx.UPlaneScratch(1)
@@ -243,7 +245,7 @@ func (a *App) muxDL(ctx *core.Context, pkts []*fh.Packet, t oran.Timing) (*fh.Pa
 			out.Sections = append(out.Sections, sec)
 		}
 	}
-	merged := fh.Rebuild(pkts[0], out.AppendTo)
+	merged := ctx.Rebuild(pkts[0], out.AppendTo)
 	// Clear the BandSector: the combined stream carries several cells'
 	// PRBs, so attribution falls back to spectrum position.
 	pc := merged.EAxC()
@@ -347,7 +349,7 @@ func (a *App) ulDemux(ctx *core.Context, pkt *fh.Packet, t oran.Timing) error {
 			continue
 		}
 		replica := ctx.Replicate(pkt)
-		rebuilt := fh.Rebuild(replica, out.AppendTo)
+		rebuilt := ctx.Rebuild(replica, out.AppendTo)
 		pc := rebuilt.EAxC()
 		pc.DUPort = du.PortID
 		rebuilt.SetEAxC(pc)

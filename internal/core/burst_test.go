@@ -369,9 +369,9 @@ func TestBurstFIFOMixedKernelVerdicts(t *testing.T) {
 }
 
 // TestBurstPathAllocs pins the burst datapath's allocation budget on the
-// parallel (direct-emit) path: at most one allocation per frame — the
-// fresh userspace packet — for an App engine, and none at all for frames
-// the kernel retires.
+// parallel (direct-emit) path: none — the userspace packet comes from the
+// worker's pool and goes back when the burst's flush ends, and frames the
+// kernel retires never leave the decode scratch.
 func TestBurstPathAllocs(t *testing.T) {
 	const batch = 32
 	measure := func(e *Engine) float64 {
@@ -405,9 +405,11 @@ func TestBurstPathAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if avg := measure(e); avg > batch {
-		t.Fatalf("userspace burst path allocates %.1f objects per %d-frame burst, budget %d (1/frame)", avg, batch, batch)
+	avg := measure(e)
+	if avg > 0 {
+		t.Fatalf("userspace burst path allocates %.1f objects per %d-frame burst, want 0", avg, batch)
 	}
+	t.Logf("userspace burst path allocations per %d-frame burst: %.1f", batch, avg)
 
 	prog := &KernelProgram{Rules: []Rule{{
 		Match: Match{Plane: fh.PlaneU}, Verdict: VerdictTx, Rewrite: &Rewrite{SetDst: &ru2MAC},
@@ -417,9 +419,10 @@ func TestBurstPathAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if avg := measure(e2); avg > 0 {
+	if avg = measure(e2); avg > 0 {
 		t.Fatalf("kernel-retired burst path allocates %.1f objects per %d-frame burst, want 0", avg, batch)
 	}
+	t.Logf("kernel-retired burst path allocations per %d-frame burst: %.1f", batch, avg)
 	if st := e2.Snapshot(); st.KernelRetired == 0 {
 		t.Fatal("kernel retirement never engaged")
 	}

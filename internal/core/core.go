@@ -52,9 +52,13 @@ import (
 type App interface {
 	// Name identifies the middlebox in telemetry and logs.
 	Name() string
-	// Handle processes one packet. The packet belongs to the handler: it
-	// may be forwarded, cached, mutated, replicated or dropped. Returning
-	// an error drops the packet and counts a processing failure.
+	// Handle processes one packet. The packet belongs to the handler
+	// until Handle returns: it may be forwarded, cached, mutated,
+	// replicated or dropped — not kept elsewhere past Handle. The same
+	// goes for every packet the handler obtains from ctx (replicas,
+	// rebuilds, what TakeCached returned): the engine recycles them once
+	// Handle has returned, unless the A3 cache holds them. Returning an
+	// error drops the packet and counts a processing failure.
 	Handle(ctx *Context, pkt *fh.Packet) error
 }
 
@@ -131,10 +135,23 @@ func (c *Context) Drop(pkt *fh.Packet) {
 }
 
 // Replicate clones the packet (A2). The clone is independent: it can be
-// re-addressed and forwarded separately.
+// re-addressed and forwarded separately. It is the worker pool's, valid
+// like pkt itself until Handle returns unless it is cached.
 func (c *Context) Replicate(pkt *fh.Packet) *fh.Packet {
 	c.noteAction(telemetry.ActionReplicate, cpu.CostReplicate)
-	return pkt.Clone()
+	cp := c.w.pool.Clone(pkt)
+	c.w.track(cp)
+	return cp
+}
+
+// Rebuild re-serializes pkt around a new O-RAN message (the second half of
+// A4, see fh.Pool.Rebuild) into a packet of the worker pool's with the
+// lifetime of a replica. It charges nothing: the caller charges the
+// modification it made (ChargeHeaderMod, ChargeMerge, ...).
+func (c *Context) Rebuild(pkt *fh.Packet, encode func(b []byte) []byte) *fh.Packet {
+	out := c.w.pool.Rebuild(pkt, encode)
+	c.w.track(out)
+	return out
 }
 
 // Cache stores the packet under key for later combination (A3). The
@@ -147,6 +164,8 @@ func (c *Context) Cache(key fh.Key, pkt *fh.Packet) {
 }
 
 // Cached returns the packets stored under key without removing them (A3).
+// The slice is the entry's own: it is valid until the next Cache or
+// TakeCached of that key.
 func (c *Context) Cached(key fh.Key) []*fh.Packet {
 	return c.w.cache.Peek(key)
 }
@@ -154,39 +173,46 @@ func (c *Context) Cached(key fh.Key) []*fh.Packet {
 // CachedCount returns how many packets are stored under key.
 func (c *Context) CachedCount(key fh.Key) int { return len(c.w.cache.Peek(key)) }
 
-// TakeCached removes and returns the packets stored under key (A3).
+// TakeCached removes and returns the packets stored under key (A3). The
+// slice and the packets are valid until Handle returns; a packet that is to
+// wait longer goes back in with Cache.
 func (c *Context) TakeCached(key fh.Key) []*fh.Packet {
 	c.noteAction(telemetry.ActionCache, cpu.CostCacheTake)
-	return c.w.cache.Take(key)
+	pkts := c.w.cache.Take(key)
+	for _, p := range pkts {
+		c.w.track(p)
+	}
+	return pkts
 }
 
 // ModifyUPlane decodes the packet's U-plane message, applies fn, and
-// returns a re-encoded packet with the original addressing (A4). The
-// header-level cost is charged here; fn must charge IQ-level work through
-// ChargeMerge / ChargeCopy / ChargeRecompress as it performs it.
+// returns a re-encoded packet with the original addressing (A4); pkt is
+// left as it was. The header-level cost is charged here; fn must charge
+// IQ-level work through ChargeMerge / ChargeCopy / ChargeRecompress as it
+// performs it. msg is the worker's scratch, valid only inside fn.
 func (c *Context) ModifyUPlane(pkt *fh.Packet, carrierPRBs int, fn func(msg *oran.UPlaneMsg) error) (*fh.Packet, error) {
 	c.noteAction(telemetry.ActionModify, cpu.CostHeaderMod)
-	var msg oran.UPlaneMsg
-	if err := pkt.UPlane(&msg, carrierPRBs); err != nil {
+	msg := &c.w.modU
+	if err := pkt.UPlane(msg, carrierPRBs); err != nil {
 		return nil, err
 	}
-	if err := fn(&msg); err != nil {
+	if err := fn(msg); err != nil {
 		return nil, err
 	}
-	return fh.Rebuild(pkt, msg.AppendTo), nil
+	return c.Rebuild(pkt, msg.AppendTo), nil
 }
 
 // ModifyCPlane is ModifyUPlane for C-plane messages (A4).
 func (c *Context) ModifyCPlane(pkt *fh.Packet, carrierPRBs int, fn func(msg *oran.CPlaneMsg) error) (*fh.Packet, error) {
 	c.noteAction(telemetry.ActionModify, cpu.CostHeaderMod)
-	var msg oran.CPlaneMsg
-	if err := pkt.CPlane(&msg, carrierPRBs); err != nil {
+	msg := &c.w.modC
+	if err := pkt.CPlane(msg, carrierPRBs); err != nil {
 		return nil, err
 	}
-	if err := fn(&msg); err != nil {
+	if err := fn(msg); err != nil {
 		return nil, err
 	}
-	return fh.Rebuild(pkt, msg.AppendTo), nil
+	return c.Rebuild(pkt, msg.AppendTo), nil
 }
 
 // Transcoder returns the shard's pooled BFP transcode scratch (A4): a

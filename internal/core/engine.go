@@ -344,8 +344,11 @@ func (e *Engine) Mode() Mode { return e.cfg.Mode }
 // Shards returns the number of datapath workers.
 func (e *Engine) Shards() int { return len(e.shards) }
 
-// SetOutput attaches the transmit function (e.g. a fabric port's Send).
-// While parallel workers run, the function is called from every worker
+// SetOutput attaches the transmit function (e.g. a NIC queue's transmit).
+// The contract is the NIC's: the frame is borrowed until the function
+// returns — the engine recycles the buffer right after — so a function
+// that keeps a frame (a simulated link that delivers it later) must copy
+// it. While parallel workers run, the function is called from every worker
 // goroutine and must be safe for concurrent use.
 func (e *Engine) SetOutput(fn func(frame []byte)) { e.out = fn }
 
@@ -649,7 +652,7 @@ func (e *Engine) runKernel(w *worker, pkt *fh.Packet) (KernelVerdict, time.Durat
 			// array is reused instead of reallocated per Tx verdict.
 			sh.kernelEmits = sh.kernelEmits[:0]
 			for j := range r.Mirrors {
-				cp := pkt.Clone()
+				cp := w.pool.Clone(pkt)
 				r.Mirrors[j].apply(cp)
 				cost += cpu.CostReplicate + cpu.CostHeaderMod
 				w.sh.kernelEmits = append(w.sh.kernelEmits, cp)

@@ -260,11 +260,11 @@ type shard struct {
 	latMu sync.Mutex
 	lat   [classCount][]time.Duration
 
-	// kpkt is the shard's pooled decode packet: every frame is dissected
-	// into it first, and only frames that cross into userspace are copied
-	// out to a fresh allocation. Kernel-retired and passthrough frames
-	// live and die in this scratch — zero allocations. It is safe to keep
-	// on the shard across restarts: an abandoned worker executes no
+	// kpkt is the shard's decode scratch: every frame is dissected into it
+	// first, and only frames that cross into userspace are copied out to a
+	// Packet of the worker's pool. Kernel-retired and passthrough frames
+	// live and die in this scratch and never touch the pool. It is safe to
+	// keep on the shard across restarts: an abandoned worker executes no
 	// datapath code after retirement, and the App never sees it.
 	kpkt fh.Packet
 	// burstFrames/burstTs receive each popN vector; pend parks decoded
@@ -346,6 +346,18 @@ type worker struct {
 	// fresh cache, so the two never share one.
 	seq   map[seqKey]uint8
 	cache *Cache
+	// pool is the incarnation's frame pool: every Packet and frame buffer
+	// the engine makes for this worker's frames is drawn from it and given
+	// back at one of four points — the end of the App invocation, a kernel
+	// completion, a cache sweep, and after the output function returned
+	// (DESIGN.md §6.10). A restart abandons it with the incarnation; under
+	// work stealing a packet cached by one worker is released into the
+	// pool of whichever worker empties the entry.
+	pool *fh.Pool
+	// live lists what the App invocation in flight was handed or obtained
+	// from its Context (each packet once: markLive); releaseLive gives back
+	// what the A3 cache did not keep.
+	live []*fh.Packet
 
 	// ctx is the worker's reusable app context. The App contract (see
 	// Context) says the value is valid only for the duration of Handle,
@@ -367,6 +379,10 @@ type worker struct {
 	// the kernel/app decode scratch, slot 1 the re-encode staging message;
 	// handed to apps via Context.UPlaneScratch.
 	msgs [2]oran.UPlaneMsg
+	// modU and modC are the message scratch of Context.ModifyUPlane and
+	// ModifyCPlane, apart from msgs so the callback may use those.
+	modU oran.UPlaneMsg
+	modC oran.CPlaneMsg
 	// burstPkts is the packet vector of the invocation group in flight,
 	// resliced per group, never grown. It is what the App is handed and
 	// all the flush reads of the group while the supervision window is
@@ -412,6 +428,7 @@ func newWorker(sh *shard) *worker {
 		isolate:  e.cfg.Supervise.PanicBudget > 0 && e.cfg.App != nil,
 		counters: make(map[string]*telemetry.Counter),
 		txc:      bfp.NewTranscoder(),
+		pool:     fh.NewPool(),
 	}
 	w.txc.Reserve(e.cfg.CarrierPRBs)
 	w.burstPkts = make([]*fh.Packet, 0, e.cfg.Burst.Batch)
@@ -641,7 +658,7 @@ func (w *worker) processBurst(frames [][]byte, stamps []sim.Time) {
 	rx := sh.stats.rxFrames.Add(n)
 	now := sh.now()
 	if rx/sweepEvery != (rx-n)/sweepEvery {
-		w.cache.Sweep(now)
+		w.cache.sweep(now, w.pool)
 	}
 	if rx/healthWindow != (rx-n)/healthWindow {
 		sh.updateHealth()
@@ -655,9 +672,9 @@ func (w *worker) processBurst(frames [][]byte, stamps []sim.Time) {
 
 // processOne runs one frame of a burst through decode and the kernel
 // half. Frames the kernel retires (Tx/Drop) or that bypass userspace
-// (no App) complete here against the shard's pooled packet — no
-// allocation; frames bound for the App are copied to a fresh packet and
-// parked on the pend list for flushApp. enq is the frame's ingress-ring
+// (no App) complete here against the shard's decode scratch; frames bound
+// for the App are copied to a packet of the worker's pool and parked on the
+// pend list for flushApp. enq is the frame's ingress-ring
 // enqueue stamp (meaningful only while the trace collector is on); now is
 // the burst's arrival instant.
 func (w *worker) processOne(frame []byte, enq, now sim.Time) {
@@ -688,8 +705,7 @@ func (w *worker) processOne(frame []byte, enq, now sim.Time) {
 		if e.cfg.Burst.DisableKernelRetire {
 			// Pre-burst semantics: every kernel verdict operates on a
 			// userspace packet.
-			//ranvet:allow alloc kernel retirement disabled by policy: the compatibility path constructs the userspace packet per frame
-			pkt = &fh.Packet{}
+			pkt = w.pool.Get()
 			*pkt = sh.kpkt
 		}
 		verdict, kCost, emits := e.runKernel(w, pkt)
@@ -708,7 +724,8 @@ func (w *worker) processOne(frame []byte, enq, now sim.Time) {
 			fin := sh.core.Charge(start, cost)
 			sh.recordLatency(class, cost)
 			sh.stampSpan(pkt, class, enq, start, fin, decode, kernelCost, 0, 0, nil)
-			sh.emitAll(emits, fin)
+			w.emitAll(emits, fin)
+			w.retireKernel(pkt, emits)
 			return
 		case VerdictDrop:
 			w.flushApp()
@@ -719,6 +736,7 @@ func (w *worker) processOne(frame []byte, enq, now sim.Time) {
 			start, decode := sh.chargeStart(now, decodeCost)
 			fin := sh.core.Charge(start, decode+kernelCost)
 			sh.stampSpan(pkt, class, enq, start, fin, decode, kernelCost, 0, 0, nil)
+			w.retireKernel(pkt, nil)
 			return
 		default:
 			sh.stats.punts.Add(1)
@@ -737,14 +755,14 @@ func (w *worker) processOne(frame []byte, enq, now sim.Time) {
 		sh.recordLatency(class, cost)
 		sh.stampSpan(pkt, class, enq, start, fin, decode, kernelCost, 0, 0, nil)
 		sh.passthrough[0] = pkt
-		sh.emitAll(sh.passthrough[:], fin)
+		w.emitAll(sh.passthrough[:], fin)
+		w.retireKernel(pkt, nil)
 		return
 	}
 	if pkt == kpkt {
-		// The packet crosses into userspace, which may retain it beyond
-		// this burst (A3 caching, A2 replication), so it must be fresh.
-		//ranvet:allow alloc the packet must be fresh per userspace frame: A3 caching and A2 replication retain it beyond the burst
-		pkt = &fh.Packet{}
+		// The packet crosses into userspace, where the A3 cache may keep
+		// it beyond this burst, so it needs a Packet of its own.
+		pkt = w.pool.Get()
 		*pkt = sh.kpkt
 	}
 	w.sh.pend = append(w.sh.pend, pendFrame{
@@ -822,12 +840,15 @@ func (w *worker) flushGroup(g []pendFrame) {
 	pkts := w.burstPkts[:len(g)]
 	for i := range g {
 		pkts[i] = g[i].pkt
+		w.track(g[i].pkt)
 	}
 	ctx := &w.ctx
 	*ctx = Context{w: w, now: g[0].arrival, cost: base, emits: ctx.emits[:0]}
 	err, panicked := w.invoke(ctx, pkts)
 	clear(pkts)
 	if panicked {
+		// Whatever state the App died in, nothing it touched is recycled.
+		w.forgetLive()
 		w.notePanic()
 		w.quarantine(g, start, base)
 		return
@@ -855,7 +876,55 @@ func (w *worker) flushGroup(g []pendFrame) {
 		sh.stampSpan(p.pkt, p.class, p.enq, start, fin, p.decode, p.kernel, share, ctx.actions, &shareCost)
 	}
 	if err == nil {
-		sh.emitAll(ctx.emits, fin)
+		w.emitAll(ctx.emits, fin)
+	}
+	w.releaseLive()
+}
+
+// track puts p on the live list of the App invocation in flight, once.
+func (w *worker) track(p *fh.Packet) {
+	if p.Mark&markLive == 0 {
+		p.Mark |= markLive
+		w.live = append(w.live, p)
+	}
+}
+
+// releaseLive ends an App invocation's hold on its packets: every packet
+// the A3 cache did not keep goes back to the pool (an emitted pool buffer
+// was cut loose by emitAll and follows once it has left), and the entries
+// TakeCached emptied are recycled.
+func (w *worker) releaseLive() {
+	for i, p := range w.live {
+		w.live[i] = nil
+		if p.Mark &^= markLive | markEmitted; p.Mark&(markCached|markPinned) == 0 {
+			w.pool.Put(p)
+		}
+	}
+	w.live = w.live[:0]
+	w.cache.reclaim()
+}
+
+// forgetLive drops the live list to the collector.
+func (w *worker) forgetLive() {
+	for i, p := range w.live {
+		w.live[i] = nil
+		p.Mark &^= markLive
+	}
+	w.live = w.live[:0]
+}
+
+// retireKernel gives back what a kernel completion drew from the pool: the
+// mirror replicas among emits (emitAll cut their buffers loose) and, when
+// kernel retirement is disabled, the frame's own Packet. The decode
+// scratch is not the pool's.
+func (w *worker) retireKernel(pkt *fh.Packet, emits []*fh.Packet) {
+	for _, p := range emits {
+		if p != pkt {
+			w.pool.Put(p)
+		}
+	}
+	if pkt != &w.sh.kpkt {
+		w.pool.Put(pkt)
 	}
 }
 
@@ -963,7 +1032,7 @@ func (w *worker) quarantine(g []pendFrame, start sim.Time, base time.Duration) {
 		p := &g[i]
 		sh.stampSpan(p.pkt, p.class, p.enq, start, fin, p.decode, p.kernel, 0, 0, nil)
 		sh.passthrough[0] = p.pkt
-		sh.emitAll(sh.passthrough[:], fin)
+		w.emitAll(sh.passthrough[:], fin)
 	}
 }
 
@@ -1016,18 +1085,44 @@ func (sh *shard) flushSpans() {
 // are scheduled at their virtual finish time as closure-free frame events
 // with the engine as sink; under parallel workers the output function is
 // invoked directly (and must be safe for concurrent use).
-func (sh *shard) emitAll(pkts []*fh.Packet, at sim.Time) {
-	e := sh.eng
+//
+// A frame in a pool buffer is released once the output function has
+// returned — right here under parallel workers, by the recycler sink
+// otherwise — and the packet is cut loose from it, so the packet's own
+// release leaves the buffer alone. That needs the emit to be the buffer's
+// only way out: a packet the A3 cache holds, or one emitted twice, is cut
+// loose without a release and its buffer is the collector's.
+func (w *worker) emitAll(pkts []*fh.Packet, at sim.Time) {
+	e := w.eng
 	if len(pkts) == 0 {
 		return
 	}
-	sh.stats.txFrames.Add(uint64(len(pkts)))
+	w.sh.stats.txFrames.Add(uint64(len(pkts)))
 	for _, p := range pkts {
-		if e.parallel {
-			(*egress)(e).DeliverFrame(p.Frame)
+		if !p.Pooled() {
 			continue
 		}
-		e.sched.AtFrame(at, (*egress)(e), p.Frame)
+		if p.Mark&(markEmitted|markCached|markPinned) != 0 {
+			p.Disown()
+		}
+		p.Mark |= markEmitted
+	}
+	for _, p := range pkts {
+		recycle := p.Pooled()
+		if recycle {
+			p.Disown()
+		}
+		switch {
+		case e.parallel:
+			(*egress)(e).DeliverFrame(p.Frame)
+			if recycle {
+				w.pool.PutFrame(p.Frame)
+			}
+		case recycle:
+			e.sched.AtFrame(at, (*recycler)(w), p.Frame)
+		default:
+			e.sched.AtFrame(at, (*egress)(e), p.Frame)
+		}
 	}
 }
 
@@ -1041,6 +1136,23 @@ type egress Engine
 func (e *egress) DeliverFrame(frame []byte) {
 	if e.out != nil {
 		e.out(frame)
+	}
+}
+
+// recycler is a worker incarnation seen as the sim.FrameSink of the pool
+// buffers it emits: egress, then the buffer goes back to the worker's pool.
+type recycler worker
+
+// DeliverFrame hands the frame to the output function and releases it. The
+// pool is single-goroutine: this runs on the scheduler goroutine, which is
+// also the one draining inline — unless Start has handed the worker to its
+// own goroutine since the frame was scheduled, or a restart has replaced
+// the incarnation; then the buffer is left to the collector.
+func (r *recycler) DeliverFrame(frame []byte) {
+	w := (*worker)(r)
+	(*egress)(w.eng).DeliverFrame(frame)
+	if !w.eng.parallel && w.sh.w == w {
+		w.pool.PutFrame(frame)
 	}
 }
 

@@ -339,9 +339,8 @@ func TestWorkStealFoldAtMaxStreams(t *testing.T) {
 }
 
 // TestWorkStealPathAllocs extends the TestBurstPathAllocs gate to the
-// work-stealing admission path: at most one allocation per frame — the
-// fresh userspace packet — through ingress + claim + runStream, and
-// zero for kernel-retired traffic.
+// work-stealing admission path: no allocation through ingress + claim +
+// runStream, for userspace and kernel-retired traffic alike.
 func TestWorkStealPathAllocs(t *testing.T) {
 	const batch = 32
 	measure := func(e *Engine) float64 {
@@ -378,9 +377,11 @@ func TestWorkStealPathAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if avg := measure(e); avg > batch {
-		t.Fatalf("work-stealing userspace path allocates %.1f objects per %d-frame burst, budget %d (1/frame)", avg, batch, batch)
+	avg := measure(e)
+	if avg > 0 {
+		t.Fatalf("work-stealing userspace path allocates %.1f objects per %d-frame burst, want 0", avg, batch)
 	}
+	t.Logf("work-stealing userspace path allocations per %d-frame burst: %.1f", batch, avg)
 
 	prog := &KernelProgram{Rules: []Rule{{
 		Match: Match{Plane: fh.PlaneU}, Verdict: VerdictTx, Rewrite: &Rewrite{SetDst: &ru2MAC},
@@ -391,9 +392,10 @@ func TestWorkStealPathAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if avg := measure(e2); avg > 0 {
+	if avg = measure(e2); avg > 0 {
 		t.Fatalf("work-stealing kernel-retired path allocates %.1f objects per %d-frame burst, want 0", avg, batch)
 	}
+	t.Logf("work-stealing kernel-retired path allocations per %d-frame burst: %.1f", batch, avg)
 	if st := e2.Snapshot(); st.KernelRetired == 0 {
 		t.Fatal("kernel retirement never engaged under work stealing")
 	}

@@ -64,23 +64,7 @@ func (b *Builder) CPlane(pc ecpri.PcID, msg *oran.CPlaneMsg) []byte {
 	return msg.AppendTo(buf)
 }
 
-// Rebuild re-encodes a mutated O-RAN message into packet p, preserving p's
-// Ethernet/eCPRI addressing and sequence fields but refreshing the payload
-// and size. It returns a packet backed by a fresh buffer. This is the
-// re-serialization half of action A4.
+// Rebuild is Pool.Rebuild on the heap: the new frame is the collector's.
 func Rebuild(p *Packet, encode func(b []byte) []byte) *Packet {
-	//ranvet:allow alloc Rebuild produces a new frame by definition (A4 payload modification), charged by the cost model
-	buf := make([]byte, 0, len(p.Frame))
-	buf = p.Eth.AppendTo(buf)
-	ch := p.Ecpri
-	start := len(buf)
-	buf = ch.AppendTo(buf)
-	appStart := len(buf)
-	buf = encode(buf)
-	_ = ecpri.SetPayloadSize(buf, start, len(buf)-appStart)
-	var q Packet
-	if err := q.Decode(buf); err != nil {
-		panic("fh: rebuild produced undecodable frame: " + err.Error())
-	}
-	return &q
+	return (*Pool)(nil).Rebuild(p, encode)
 }

@@ -56,8 +56,18 @@ type Packet struct {
 	Ecpri ecpri.Header
 	// App is the O-RAN application payload (timing header onward).
 	App []byte
-	// appOff is the offset of App within Frame, for in-place patching.
-	appOff int
+	// appOff is the offset of App within Frame, for in-place patching (the
+	// headers before it are 26 bytes at most; a narrow field leaves the
+	// marks below room inside the struct's old size).
+	appOff int32
+	// Mark is scratch for whoever owns the packet (the engine keeps its
+	// ownership marks here). Pool clears it on release and never reads it.
+	Mark uint8
+	// class is the Pool size class Frame's buffer belongs to (classHeap: it
+	// is not a pool buffer); free is set while the Packet sits on a Pool's
+	// free list. The zero value is an ordinary heap packet.
+	class uint8
+	free  bool
 }
 
 // Decode parses the Ethernet and eCPRI layers of frame into p. The O-RAN
@@ -78,7 +88,7 @@ func (p *Packet) Decode(frame []byte) error {
 		return err
 	}
 	p.App = app
-	p.appOff = len(frame) - len(rest) + ecpri.HeaderLen
+	p.appOff = int32(len(frame) - len(rest) + ecpri.HeaderLen)
 	return nil
 }
 
@@ -206,27 +216,15 @@ func (p *Packet) String() string {
 	return fmt.Sprintf("%s, Id: %d %s — %s", p.Plane(), p.Ecpri.PcID.RUPort, p.Ecpri.PcID, t)
 }
 
-// Clone deep-copies the packet (frame bytes included). This is the A2
-// replication primitive; the clone can be rewritten and re-addressed
-// independently of the original.
-func (p *Packet) Clone() *Packet {
-	//ranvet:allow alloc Clone is the A2 replication primitive: the copy is the point, charged as CostReplicate
-	frame := make([]byte, len(p.Frame))
-	copy(frame, p.Frame)
-	var q Packet
-	if err := q.Decode(frame); err != nil {
-		// The source packet decoded; a byte-identical copy must too.
-		panic("fh: clone of decodable packet failed: " + err.Error())
-	}
-	return &q
-}
+// Clone is Pool.Clone on the heap: the copy is the collector's.
+func (p *Packet) Clone() *Packet { return (*Pool)(nil).Clone(p) }
 
 // SetEAxC patches the packet's eCPRI PC_ID in place (frame and view) —
 // the antenna-port remapping primitive of the dMIMO middlebox. The
 // packet must have been decoded; calling it on a zero Packet panics
 // with a diagnosable message instead of an index error.
 func (p *Packet) SetEAxC(pc ecpri.PcID) {
-	off := p.appOff - 4 // PC_ID sits 4 bytes into the 8-byte eCPRI header
+	off := int(p.appOff) - 4 // PC_ID sits 4 bytes into the 8-byte eCPRI header
 	if off < 0 || off+2 > len(p.Frame) {
 		panic("fh: SetEAxC on an undecoded packet")
 	}

@@ -44,11 +44,13 @@ func fuzzSeedFrames() [][]byte {
 				{SectionID: 3, StartPRB: 10, NumPRB: 12, ReMask: 0xfff, NumSymbol: 1, FreqOffset: -3276},
 			},
 		}))
-		for _, comp := range []bfp.Params{
+		for i, comp := range []bfp.Params{
 			{IQWidth: 9, Method: bfp.MethodBlockFloatingPoint},
 			{Method: bfp.MethodNone},
 		} {
-			grid := iq.NewGrid(4)
+			// 4 PRBs of BFP-9 make a frame of the pool's small class, 20
+			// uncompressed ones a frame of the jumbo class.
+			grid := iq.NewGrid(4 + 16*i)
 			for p := range grid {
 				for k := range grid[p] {
 					grid[p][k].I = int16(p*256 + k*16)
@@ -80,6 +82,22 @@ func FuzzDissect(f *testing.F) {
 		f.Add(frame[:len(frame)/2]) // truncated mid-message
 	}
 	f.Add([]byte{})
+	// One pool for the whole run (per worker process), and a decodable
+	// frame of either size class to alternate with the input.
+	pool := NewPool()
+	var small, jumbo Packet
+	for _, frame := range fuzzSeedFrames() {
+		which := &jumbo
+		if len(frame) <= smallBuf {
+			which = &small
+		}
+		if err := which.Decode(frame); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if small.Frame == nil || jumbo.Frame == nil {
+		f.Fatal("the seed frames do not cover both pool size classes")
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if out := Dissect(data, fuzzCarrierPRBs); out == "" {
 			t.Fatal("Dissect returned empty output")
@@ -114,10 +132,31 @@ func FuzzDissect(f *testing.F) {
 			var msg oran.CPlaneMsg
 			_ = p.CPlane(&msg, fuzzCarrierPRBs)
 		}
-		// A decodable packet must survive the A2 replication primitive.
+		// A decodable packet must survive the A2 replication primitive, on
+		// the heap and through a pool whose packet and buffers have been
+		// round a frame of the other size class since.
 		cp := p.Clone()
 		if !bytes.Equal(cp.Frame, p.Frame) {
 			t.Fatal("Clone changed frame bytes")
 		}
+		pooled := pool.Clone(&p)
+		if !bytes.Equal(pooled.Frame, p.Frame) || pooled.Eth != cp.Eth || pooled.Ecpri != cp.Ecpri || !bytes.Equal(pooled.App, cp.App) {
+			t.Fatal("Pool.Clone differs from Clone")
+		}
+		pool.Put(pooled)
+		other := &small
+		if len(p.Frame) <= smallBuf {
+			other = &jumbo
+		}
+		oc := pool.Clone(other)
+		if !bytes.Equal(oc.Frame, other.Frame) {
+			t.Fatal("Pool.Clone of the other size class changed frame bytes")
+		}
+		again := pool.Clone(&p)
+		if !bytes.Equal(again.Frame, p.Frame) || !bytes.Equal(oc.Frame, other.Frame) {
+			t.Fatal("two live pool clones share bytes")
+		}
+		pool.Put(oc)
+		pool.Put(again)
 	})
 }

@@ -238,7 +238,7 @@ func NewMetro(cfg MetroConfig) (*Metro, error) {
 			}
 			e.Ingress(frame)
 		})
-		e.SetOutput(port.Send)
+		e.SetOutput(sendCopy(port))
 		if err := m.Topo.Learn(mac, -1, port); err != nil {
 			return nil, err
 		}

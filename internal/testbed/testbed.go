@@ -195,8 +195,16 @@ func (tb *TB) AddEngine(e *core.Engine, mac eth.MAC) *fabric.Port {
 		}
 		e.Ingress(frame)
 	})
-	e.SetOutput(port.Send)
+	e.SetOutput(sendCopy(port))
 	return port
+}
+
+// sendCopy adapts a fabric port to Engine.SetOutput. The engine only lends
+// its output function the frame, while the fabric takes ownership of what
+// it is sent — it holds the frame across the switch latency and floods one
+// slice to several ports — so the boundary between the two copies.
+func sendCopy(port *fabric.Port) func(frame []byte) {
+	return func(frame []byte) { port.Send(append([]byte(nil), frame...)) }
 }
 
 // AddUE places a UE on a floor and registers it.

@@ -30,6 +30,24 @@
 //	})
 //	tb.AddEngine(eng, tb.NewMAC())
 //
+// # Who owns a frame
+//
+// The datapath recycles the packets and frame buffers it makes through a
+// per-worker frame pool instead of handing them to the collector, so three
+// lifetimes matter to code around an Engine (DESIGN.md §6.10):
+//
+//   - The buffer passed to Engine.Ingress stays the caller's: it is decoded
+//     in place and forwarded zero-copy, never released by the engine.
+//   - A packet handed to App.Handle, and every packet the handler obtains
+//     from its Context (Replicate, Rebuild, ModifyUPlane/ModifyCPlane,
+//     TakeCached), may be forwarded, cached, mutated, replicated or dropped
+//     — not kept elsewhere past Handle. Context.Cache is the one way to
+//     keep a packet longer. The slice TakeCached returns is valid until
+//     Handle returns, the one Cached returns until the next Cache or
+//     TakeCached of that key.
+//   - The function given to Engine.SetOutput is lent each frame: it is
+//     borrowed until the function returns; copy to retain.
+//
 // After a run, read the engine's merged datapath counters with
 // eng.Snapshot(); set EngineConfig.Cores > 1 to shard the datapath by
 // antenna-carrier stream, and eng.Start()/eng.Stop() to process on real
@@ -61,7 +79,8 @@ import (
 type (
 	// App is the middlebox template: user code handling each C/U-plane
 	// packet through the Context's A1-A4 actions. See core.App for the
-	// concurrency contract Handle must meet on multi-core engines.
+	// concurrency contract Handle must meet on multi-core engines, and
+	// "Who owns a frame" above for how long Handle may use its packets.
 	App = core.App
 	// SerialApp marks an App whose cross-stream state is not shard-safe;
 	// such an App refuses parallel workers over more than one shard.
@@ -81,7 +100,8 @@ type (
 	// Packet is one fronthaul frame with decoded protocol views.
 	Packet = fh.Packet
 	// Engine runs an App over a fronthaul attachment point; its datapath
-	// is sharded across EngineConfig.Cores workers by eAxC RU port.
+	// is sharded across EngineConfig.Cores workers by eAxC RU port. The
+	// function given to SetOutput only borrows each frame.
 	Engine = core.Engine
 	// EngineConfig configures an Engine. It is consumed by NewEngine;
 	// mutating it afterwards is deprecated and unsupported.
